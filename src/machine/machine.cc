@@ -517,11 +517,6 @@ void Machine::CaptureLiveSample(LiveSample* out) {
     }
   }
 
-  out->app_requests = app_requests_;
-  out->app_req_lat_ns = app_req_lat_ns_;
-  out->app_timeouts = app_timeouts_;
-  out->app_retries = app_retries_;
-  out->app_shed = app_shed_;
   out->dead_nodes = recovery_ != nullptr ? recovery_->dead_nodes() : 0;
 }
 

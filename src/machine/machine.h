@@ -279,26 +279,18 @@ class Machine {
     RecomputeFastPathMode();
   }
 
-  // Application-level request counters for live telemetry: the running app (the
-  // serving workload) records each completed request and its virtual-time latency,
-  // and CaptureLiveSample folds the cumulative totals into each sample. Stored on
-  // the machine — not behind a callback — so the end-of-run summary capture still
-  // sees them after the app has returned. Both values are monotone by construction
-  // (the feed validator enforces non-negative deltas and summary == sum of deltas).
-  // Purely observational: the simulation never reads them back.
+  // The serving counters (the `app` group in src/sim/stats.h): the running app
+  // records each completed request with its virtual-time latency, and under chaos
+  // each deadline miss, retry and shed request (DESIGN.md sections 12-13). Kept in
+  // MachineStats so the end-of-run summary capture still sees them after the app has
+  // returned.
   void RecordAppRequest(TimeNs latency_ns) {
-    app_requests_ += 1;
-    app_req_lat_ns_ += static_cast<std::uint64_t>(latency_ns);
+    stats_.app_requests += 1;
+    stats_.app_req_lat_ns += static_cast<std::uint64_t>(latency_ns);
   }
-
-  // SLO outcome counters for the serving workload under chaos (DESIGN.md section
-  // 13): requests that missed their virtual-time deadline, retry attempts issued,
-  // and requests shed by the per-tenant backlog guard. Same contract as
-  // RecordAppRequest — monotone, purely observational, zero on chaos-free runs
-  // (the app only arms its SLO machinery when chaos() is non-null).
-  void RecordAppTimeout() { app_timeouts_ += 1; }
-  void RecordAppRetry() { app_retries_ += 1; }
-  void RecordAppShed() { app_shed_ += 1; }
+  void RecordAppTimeout() { stats_.app_timeouts += 1; }
+  void RecordAppRetry() { stats_.app_retries += 1; }
+  void RecordAppShed() { stats_.app_shed += 1; }
 
   // The software TLB and its counter group (the `tlb` observability group). The
   // counters are kept out of MachineStats: they differ between TLB-on and TLB-off
@@ -443,12 +435,6 @@ class Machine {
 
   RefObserver ref_observer_ = nullptr;
   void* ref_observer_ctx_ = nullptr;
-
-  std::uint64_t app_requests_ = 0;
-  std::uint64_t app_req_lat_ns_ = 0;
-  std::uint64_t app_timeouts_ = 0;
-  std::uint64_t app_retries_ = 0;
-  std::uint64_t app_shed_ = 0;
 };
 
 }  // namespace ace

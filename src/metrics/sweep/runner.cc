@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <thread>
 
 #include "src/apps/app.h"
@@ -41,43 +42,22 @@ void AppendRunCounters(const char* prefix, const PlacementRun& run,
                        static_cast<double>(s.local_alloc_failures));
 }
 
-// Field-by-field equality of two placement runs: the differential guarantee that the
-// software-TLB fast path changed nothing observable. Compares the virtual times, all
-// VM/NUMA counters, and the full per-processor reference matrix.
+// Equality of two placement runs: the differential guarantee that the software-TLB
+// fast path changed nothing observable. Compares the virtual times and every
+// MachineStats counter, the full per-processor reference matrix included.
 bool RunsIdentical(const PlacementRun& a, const PlacementRun& b) {
-  if (a.user_sec != b.user_sec || a.system_sec != b.system_sec ||
-      a.measured_alpha != b.measured_alpha || a.pages_pinned != b.pages_pinned) {
-    return false;
+  return a.user_sec == b.user_sec && a.system_sec == b.system_sec &&
+         a.measured_alpha == b.measured_alpha && a.pages_pinned == b.pages_pinned &&
+         a.stats == b.stats;
+}
+
+// One counter group as cell metrics, named by field and prefixed per placement run.
+void AppendCounterGroup(const char* prefix, std::span<const StatsCounter> group,
+                        const MachineStats& s,
+                        std::vector<std::pair<std::string, double>>& metrics) {
+  for (const StatsCounter& c : group) {
+    metrics.emplace_back(std::string(prefix) + c.name, static_cast<double>(s.*c.field));
   }
-  const MachineStats& x = a.stats;
-  const MachineStats& y = b.stats;
-  if (x.page_faults != y.page_faults || x.zero_fills != y.zero_fills ||
-      x.page_copies != y.page_copies || x.page_syncs != y.page_syncs ||
-      x.page_flushes != y.page_flushes || x.page_unmaps != y.page_unmaps ||
-      x.ownership_moves != y.ownership_moves || x.pages_pinned != y.pages_pinned ||
-      x.local_alloc_failures != y.local_alloc_failures ||
-      x.degraded_global_fallbacks != y.degraded_global_fallbacks ||
-      x.degraded_copy_failures != y.degraded_copy_failures ||
-      x.degraded_pool_retries != y.degraded_pool_retries ||
-      x.degraded_oom_faults != y.degraded_oom_faults) {
-    return false;
-  }
-  if (x.chaos_events != y.chaos_events || x.evacuated_pages != y.evacuated_pages ||
-      x.replicated_pages != y.replicated_pages || x.journal_bytes != y.journal_bytes ||
-      x.recovered_pages != y.recovered_pages || x.lost_pages != y.lost_pages ||
-      x.checksum_failures != y.checksum_failures) {
-    return false;
-  }
-  for (std::size_t p = 0; p < x.refs.size(); ++p) {
-    const ProcRefCounts& u = x.refs[p];
-    const ProcRefCounts& v = y.refs[p];
-    if (u.fetch_local != v.fetch_local || u.fetch_global != v.fetch_global ||
-        u.fetch_remote != v.fetch_remote || u.store_local != v.store_local ||
-        u.store_global != v.store_global || u.store_remote != v.store_remote) {
-      return false;
-    }
-  }
-  return true;
 }
 
 ExperimentOptions OptionsForCell(const SweepCell& cell, const MachineConfig& base_config,
@@ -213,14 +193,8 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     // chaos-free cell JSON (and its committed baselines) is byte-identical to
     // before chaos existed.
     if (!options.fault_plan.chaos.empty()) {
-      result.metrics.emplace_back("chaos_events",
-                                  static_cast<double>(numa.stats.chaos_events));
-      result.metrics.emplace_back("evacuated_pages",
-                                  static_cast<double>(numa.stats.evacuated_pages));
-      result.metrics.emplace_back("g_chaos_events",
-                                  static_cast<double>(global.stats.chaos_events));
-      result.metrics.emplace_back("g_evacuated_pages",
-                                  static_cast<double>(global.stats.evacuated_pages));
+      AppendCounterGroup("", kChaosCounters, numa.stats, result.metrics);
+      AppendCounterGroup("g_", kChaosCounters, global.stats, result.metrics);
     }
     // Recovery accounting, emitted only when the plan carries a *permanent* failure
     // (kill-node / corrupt-page) — only then is the replica manager armed — so
@@ -228,20 +202,8 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     // in a committed baseline is the no-undetected-loss contract: a nonzero drift
     // means an owned page died without a mirror or journal to restore it from.
     if (options.fault_plan.has_durable_chaos()) {
-      auto durability = [&result](const char* prefix, const MachineStats& s) {
-        std::string p = prefix;
-        result.metrics.emplace_back(p + "replicated_pages",
-                                    static_cast<double>(s.replicated_pages));
-        result.metrics.emplace_back(p + "journal_bytes",
-                                    static_cast<double>(s.journal_bytes));
-        result.metrics.emplace_back(p + "recovered_pages",
-                                    static_cast<double>(s.recovered_pages));
-        result.metrics.emplace_back(p + "lost_pages", static_cast<double>(s.lost_pages));
-        result.metrics.emplace_back(p + "checksum_failures",
-                                    static_cast<double>(s.checksum_failures));
-      };
-      durability("", numa.stats);
-      durability("g_", global.stats);
+      AppendCounterGroup("", kDurabilityCounters, numa.stats, result.metrics);
+      AppendCounterGroup("g_", kDurabilityCounters, global.stats, result.metrics);
     }
     return result;
   }

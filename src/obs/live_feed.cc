@@ -26,12 +26,12 @@ double Pct(std::uint64_t part, std::uint64_t whole) {
 }
 
 std::uint64_t RefTotal(const std::array<std::uint64_t, kNumLiveCounters>& c) {
-  return c[kLcFetchLocal] + c[kLcFetchGlobal] + c[kLcFetchRemote] + c[kLcStoreLocal] +
-         c[kLcStoreGlobal] + c[kLcStoreRemote];
+  return c[kLc_fetch_local] + c[kLc_fetch_global] + c[kLc_fetch_remote] + c[kLc_store_local] +
+         c[kLc_store_global] + c[kLc_store_remote];
 }
 
 std::uint64_t RefLocal(const std::array<std::uint64_t, kNumLiveCounters>& c) {
-  return c[kLcFetchLocal] + c[kLcStoreLocal];
+  return c[kLc_fetch_local] + c[kLc_store_local];
 }
 
 }  // namespace
@@ -226,9 +226,9 @@ std::string RenderLiveFrame(const LiveFeedState& s, LiveView view, std::size_t t
         LiveCounter c;
       };
       static const Row kRows[] = {
-          {"fetch loc", kLcFetchLocal}, {"fetch glo", kLcFetchGlobal},
-          {"fetch rem", kLcFetchRemote}, {"store loc", kLcStoreLocal},
-          {"store glo", kLcStoreGlobal}, {"store rem", kLcStoreRemote},
+          {"fetch loc", kLc_fetch_local}, {"fetch glo", kLc_fetch_global},
+          {"fetch rem", kLc_fetch_remote}, {"store loc", kLc_store_local},
+          {"store glo", kLc_store_global}, {"store rem", kLc_store_remote},
       };
       for (const Row& r : kRows) {
         Appendf(&out, "%10s %14llu %8.1f%% %14llu %8.1f%%\n", r.name,
@@ -275,9 +275,11 @@ std::string RenderLiveFrame(const LiveFeedState& s, LiveView view, std::size_t t
         LiveCounter c;
       };
       static const Row kRows[] = {
-          {"faults", kLcFaults},   {"zero-fills", kLcZeroFills}, {"copies", kLcCopies},
-          {"syncs", kLcSyncs},     {"flushes", kLcFlushes},      {"unmaps", kLcUnmaps},
-          {"moves", kLcMoves},     {"pins", kLcPins},            {"alloc-fails", kLcAllocFails},
+          {"faults", kLc_page_faults},          {"zero-fills", kLc_zero_fills},
+          {"copies", kLc_page_copies},          {"syncs", kLc_page_syncs},
+          {"flushes", kLc_page_flushes},        {"unmaps", kLc_page_unmaps},
+          {"moves", kLc_ownership_moves},       {"pins", kLc_pages_pinned},
+          {"alloc-fails", kLc_local_alloc_failures},
       };
       Appendf(&out, "%12s %14s %14s\n", "", "cumulative", "interval");
       for (const Row& r : kRows) {
@@ -287,36 +289,36 @@ std::string RenderLiveFrame(const LiveFeedState& s, LiveView view, std::size_t t
       // Chaos and SLO outcomes (DESIGN.md section 13). All-zero on chaos-free
       // runs, so print the block only once something moved — the common case
       // keeps its familiar frame.
-      if (s.totals[kLcChaosEvents] != 0 || s.totals[kLcEvacuatedPages] != 0 ||
-          s.totals[kLcTimeouts] != 0 || s.totals[kLcRetries] != 0 ||
-          s.totals[kLcShed] != 0) {
+      if (s.totals[kLc_chaos_events] != 0 || s.totals[kLc_evacuated_pages] != 0 ||
+          s.totals[kLc_app_timeouts] != 0 || s.totals[kLc_app_retries] != 0 ||
+          s.totals[kLc_app_shed] != 0) {
         Appendf(&out, "  chaos: events=%llu evacuated=%llu  slo: timeouts=%llu "
                 "retries=%llu shed=%llu  (interval %llu/%llu/%llu/%llu/%llu)\n",
-                (unsigned long long)s.totals[kLcChaosEvents],
-                (unsigned long long)s.totals[kLcEvacuatedPages],
-                (unsigned long long)s.totals[kLcTimeouts],
-                (unsigned long long)s.totals[kLcRetries],
-                (unsigned long long)s.totals[kLcShed],
-                (unsigned long long)s.last[kLcChaosEvents],
-                (unsigned long long)s.last[kLcEvacuatedPages],
-                (unsigned long long)s.last[kLcTimeouts],
-                (unsigned long long)s.last[kLcRetries],
-                (unsigned long long)s.last[kLcShed]);
+                (unsigned long long)s.totals[kLc_chaos_events],
+                (unsigned long long)s.totals[kLc_evacuated_pages],
+                (unsigned long long)s.totals[kLc_app_timeouts],
+                (unsigned long long)s.totals[kLc_app_retries],
+                (unsigned long long)s.totals[kLc_app_shed],
+                (unsigned long long)s.last[kLc_chaos_events],
+                (unsigned long long)s.last[kLc_evacuated_pages],
+                (unsigned long long)s.last[kLc_app_timeouts],
+                (unsigned long long)s.last[kLc_app_retries],
+                (unsigned long long)s.last[kLc_app_shed]);
       }
       // Durability and recovery (DESIGN.md section 14). Non-zero only under a
       // permanent chaos event (kill-node / corrupt-page), so chaos-free frames —
       // and transient-chaos frames — are byte-identical to before.
-      if (s.totals[kLcReplicatedPages] != 0 || s.totals[kLcJournalBytes] != 0 ||
-          s.totals[kLcRecoveredPages] != 0 || s.totals[kLcLostPages] != 0 ||
-          s.totals[kLcChecksumFailures] != 0 || s.totals[kLcDeadNodes] != 0) {
+      if (s.totals[kLc_replicated_pages] != 0 || s.totals[kLc_journal_bytes] != 0 ||
+          s.totals[kLc_recovered_pages] != 0 || s.totals[kLc_lost_pages] != 0 ||
+          s.totals[kLc_checksum_failures] != 0 || s.totals[kLcDeadNodes] != 0) {
         Appendf(&out,
                 "  recovery: replicated=%llu journal=%llu B recovered=%llu "
                 "lost=%llu checksum-fails=%llu dead-nodes=0x%llx\n",
-                (unsigned long long)s.totals[kLcReplicatedPages],
-                (unsigned long long)s.totals[kLcJournalBytes],
-                (unsigned long long)s.totals[kLcRecoveredPages],
-                (unsigned long long)s.totals[kLcLostPages],
-                (unsigned long long)s.totals[kLcChecksumFailures],
+                (unsigned long long)s.totals[kLc_replicated_pages],
+                (unsigned long long)s.totals[kLc_journal_bytes],
+                (unsigned long long)s.totals[kLc_recovered_pages],
+                (unsigned long long)s.totals[kLc_lost_pages],
+                (unsigned long long)s.totals[kLc_checksum_failures],
                 (unsigned long long)s.totals[kLcDeadNodes]);
       }
       break;

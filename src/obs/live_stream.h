@@ -26,6 +26,8 @@
 #include <cstdio>
 #include <string>
 
+#include "src/sim/stats.h"
+
 namespace ace {
 
 inline constexpr const char* kLiveFeedFormat = "ace-live-v1";
@@ -33,27 +35,15 @@ inline constexpr int kLiveFeedVersion = 1;
 
 // Flat counter vocabulary of sample (delta) and summary (cumulative) records. Every
 // counter is monotone over a run, so sample fields are non-negative by construction
-// — the validator enforces it.
+// — the validator enforces it. The first entries come from the counter lists in
+// src/sim/stats.h: the reference totals over all processors, then every scalar
+// MachineStats counter, each named kLc_<field>. The rest are host-side and
+// observability counters that live outside MachineStats.
 enum LiveCounter {
-  kLcFetchLocal = 0,
-  kLcFetchGlobal,
-  kLcFetchRemote,
-  kLcStoreLocal,
-  kLcStoreGlobal,
-  kLcStoreRemote,
-  kLcFaults,
-  kLcZeroFills,
-  kLcCopies,
-  kLcSyncs,
-  kLcFlushes,
-  kLcUnmaps,
-  kLcMoves,
-  kLcPins,
-  kLcAllocFails,
-  kLcDegFallbacks,
-  kLcDegCopyFails,
-  kLcDegPoolRetries,
-  kLcDegOomFaults,
+#define ACE_LIVE_COUNTER(field, key) kLc_##field,
+  ACE_REF_COUNTERS(ACE_LIVE_COUNTER)
+  ACE_STATS_COUNTERS(ACE_LIVE_COUNTER)
+#undef ACE_LIVE_COUNTER
   kLcTlbHits,
   kLcTlbMisses,
   kLcDecLocal,
@@ -63,33 +53,8 @@ enum LiveCounter {
   kLcTraceDropped,
   kLcUserNs,
   kLcSystemNs,
-  // Application-level serving counters (Machine::RecordAppRequest): completed
-  // requests and the running sum of their virtual-time latencies. Zero for apps
-  // that never record requests. Cumulative latency (not a percentile) keeps the
-  // vocabulary monotone, as the validator requires; a reader derives mean latency
-  // per interval as req_lat_ns / requests.
-  kLcRequests,
-  kLcReqLatNs,
-  // Chaos and graceful-degradation counters (DESIGN.md section 13): chaos
-  // transitions applied, pages evacuated off draining nodes, and the serving app's
-  // SLO outcomes (deadline misses, retries, shed requests). All exactly zero on
-  // chaos-free runs.
-  kLcChaosEvents,
-  kLcEvacuatedPages,
-  kLcTimeouts,
-  kLcRetries,
-  kLcShed,
-  // Durability and recovery counters (DESIGN.md section 14): owned pages that
-  // opened a dirty-page journal, bytes mirrored off-node, pages reconstructed after
-  // a kill-node or checksum-detected corruption, pages written off as lost,
-  // checksum verification failures, and the dead-node bitmask (bit p = processor p
-  // lost to kill-node; monotone — bits only ever set). All exactly zero unless the
-  // plan carries a permanent chaos event.
-  kLcReplicatedPages,
-  kLcJournalBytes,
-  kLcRecoveredPages,
-  kLcLostPages,
-  kLcChecksumFailures,
+  // Dead-node bitmask (bit p = processor p lost to kill-node chaos; monotone — bits
+  // only ever set). Zero unless the plan carries a permanent chaos event.
   kLcDeadNodes,
   kNumLiveCounters,
 };

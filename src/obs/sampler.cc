@@ -48,26 +48,17 @@ std::uint64_t LiveSample::TlbMisses() const {
 }
 
 void FlattenLiveCounters(const LiveSample& s, std::uint64_t out[kNumLiveCounters]) {
+  // The enum lists the reference totals, then kStatsCounters, in this order.
+  static_assert(static_cast<std::size_t>(kLcTlbHits) ==
+                std::size(kRefCounters) + std::size(kStatsCounters));
+  int i = 0;
   const ProcRefCounts t = s.stats.TotalRefs();
-  out[kLcFetchLocal] = t.fetch_local;
-  out[kLcFetchGlobal] = t.fetch_global;
-  out[kLcFetchRemote] = t.fetch_remote;
-  out[kLcStoreLocal] = t.store_local;
-  out[kLcStoreGlobal] = t.store_global;
-  out[kLcStoreRemote] = t.store_remote;
-  out[kLcFaults] = s.stats.page_faults;
-  out[kLcZeroFills] = s.stats.zero_fills;
-  out[kLcCopies] = s.stats.page_copies;
-  out[kLcSyncs] = s.stats.page_syncs;
-  out[kLcFlushes] = s.stats.page_flushes;
-  out[kLcUnmaps] = s.stats.page_unmaps;
-  out[kLcMoves] = s.stats.ownership_moves;
-  out[kLcPins] = s.stats.pages_pinned;
-  out[kLcAllocFails] = s.stats.local_alloc_failures;
-  out[kLcDegFallbacks] = s.stats.degraded_global_fallbacks;
-  out[kLcDegCopyFails] = s.stats.degraded_copy_failures;
-  out[kLcDegPoolRetries] = s.stats.degraded_pool_retries;
-  out[kLcDegOomFaults] = s.stats.degraded_oom_faults;
+  for (const auto& c : kRefCounters) {
+    out[i++] = t.*c.field;
+  }
+  for (const StatsCounter& c : kStatsCounters) {
+    out[i++] = s.stats.*c.field;
+  }
   out[kLcTlbHits] = s.TlbHits();
   out[kLcTlbMisses] = s.TlbMisses();
   out[kLcDecLocal] = s.decisions[0];
@@ -77,18 +68,6 @@ void FlattenLiveCounters(const LiveSample& s, std::uint64_t out[kNumLiveCounters
   out[kLcTraceDropped] = s.trace_dropped;
   out[kLcUserNs] = static_cast<std::uint64_t>(s.user_ns);
   out[kLcSystemNs] = static_cast<std::uint64_t>(s.system_ns);
-  out[kLcRequests] = s.app_requests;
-  out[kLcReqLatNs] = s.app_req_lat_ns;
-  out[kLcChaosEvents] = s.stats.chaos_events;
-  out[kLcEvacuatedPages] = s.stats.evacuated_pages;
-  out[kLcTimeouts] = s.app_timeouts;
-  out[kLcRetries] = s.app_retries;
-  out[kLcShed] = s.app_shed;
-  out[kLcReplicatedPages] = s.stats.replicated_pages;
-  out[kLcJournalBytes] = s.stats.journal_bytes;
-  out[kLcRecoveredPages] = s.stats.recovered_pages;
-  out[kLcLostPages] = s.stats.lost_pages;
-  out[kLcChecksumFailures] = s.stats.checksum_failures;
   out[kLcDeadNodes] = s.dead_nodes;
 }
 

@@ -39,7 +39,7 @@ namespace ace {
 // One cumulative capture of everything the live feed reports. Plain data, filled by
 // the capture source (Machine::CaptureLiveSample); the sampler owns the diffing.
 struct LiveSample {
-  MachineStats stats;                 // cumulative counters incl. per-proc refs
+  MachineStats stats;                 // every counter group incl. per-proc refs
   TimeNs user_ns = 0;                 // ProcClocks::TotalUser
   TimeNs system_ns = 0;               // ProcClocks::TotalSystem
   TimeNs max_clock_ns = 0;            // max per-processor virtual clock
@@ -58,21 +58,9 @@ struct LiveSample {
   // degrades to counters-only records with no hot-page list.
   bool have_heat = false;
   std::vector<std::array<std::uint64_t, 4>> page_refs;
-  // Application-level serving counters (Machine::RecordAppRequest); zeros when
-  // the running app records no requests.
-  std::uint64_t app_requests = 0;
-  std::uint64_t app_req_lat_ns = 0;
-  // SLO outcome counters under chaos (Machine::RecordAppTimeout/Retry/Shed);
-  // zeros on chaos-free runs. The chaos_events/evacuated_pages counters ride in
-  // `stats` above.
-  std::uint64_t app_timeouts = 0;
-  std::uint64_t app_retries = 0;
-  std::uint64_t app_shed = 0;
   // Dead-node bitmask (bit p = processor p lost to kill-node chaos). Monotone —
   // bits are only ever set — so the feed validator's non-negative-delta rule holds.
-  // Zero unless the plan carries a permanent chaos event. The durability counters
-  // (replicated/recovered/lost pages, journal bytes, checksum failures) ride in
-  // `stats` above.
+  // Zero unless the plan carries a permanent chaos event.
   std::uint32_t dead_nodes = 0;
 
   std::uint64_t TlbHits() const;

@@ -20,22 +20,13 @@ namespace ace {
 inline MachineStats DiffStats(const MachineStats& before, const MachineStats& after) {
   MachineStats d;
   for (std::size_t p = 0; p < d.refs.size(); ++p) {
-    d.refs[p].fetch_local = after.refs[p].fetch_local - before.refs[p].fetch_local;
-    d.refs[p].fetch_global = after.refs[p].fetch_global - before.refs[p].fetch_global;
-    d.refs[p].fetch_remote = after.refs[p].fetch_remote - before.refs[p].fetch_remote;
-    d.refs[p].store_local = after.refs[p].store_local - before.refs[p].store_local;
-    d.refs[p].store_global = after.refs[p].store_global - before.refs[p].store_global;
-    d.refs[p].store_remote = after.refs[p].store_remote - before.refs[p].store_remote;
+    for (const auto& c : kRefCounters) {
+      d.refs[p].*c.field = after.refs[p].*c.field - before.refs[p].*c.field;
+    }
   }
-  d.page_faults = after.page_faults - before.page_faults;
-  d.zero_fills = after.zero_fills - before.zero_fills;
-  d.page_copies = after.page_copies - before.page_copies;
-  d.page_syncs = after.page_syncs - before.page_syncs;
-  d.page_flushes = after.page_flushes - before.page_flushes;
-  d.page_unmaps = after.page_unmaps - before.page_unmaps;
-  d.ownership_moves = after.ownership_moves - before.ownership_moves;
-  d.pages_pinned = after.pages_pinned - before.pages_pinned;
-  d.local_alloc_failures = after.local_alloc_failures - before.local_alloc_failures;
+  for (const StatsCounter& c : kStatsCounters) {
+    d.*c.field = after.*c.field - before.*c.field;
+  }
   return d;
 }
 

@@ -4,7 +4,7 @@
 // Each scenario drives one protocol transition through the real machine (scripted
 // policy, so the placement decision is forced) and asserts the *complete* counter
 // delta with DiffStats — not just the counters the transition is expected to bump,
-// but that every other protocol counter stayed at zero. This freezes the counter
+// but that every other counter stayed at zero. This freezes the counter
 // semantics the observability layer (src/obs) and the paper's Table 4 overhead
 // analysis both build on; an accidental double-count or a dropped increment anywhere
 // in numa_manager.cc fails here with the exact field named.
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 
 #include "src/machine/machine.h"
 #include "src/obs/snapshot.h"
@@ -19,8 +20,10 @@
 namespace ace {
 namespace {
 
-// Assert a full protocol-counter delta (reference counters are scenario-dependent and
-// checked separately where interesting).
+// Assert a full counter delta: the protocol counters as given, and zero for every
+// counter of the degrade, chaos, durability and serving groups, none of which a
+// plain protocol transition may touch. (Reference counters are scenario-dependent
+// and checked separately where interesting.)
 void ExpectDelta(const MachineStats& d, std::uint64_t faults, std::uint64_t zero_fills,
                  std::uint64_t copies, std::uint64_t syncs, std::uint64_t flushes,
                  std::uint64_t unmaps, std::uint64_t moves, std::uint64_t pins,
@@ -34,6 +37,13 @@ void ExpectDelta(const MachineStats& d, std::uint64_t faults, std::uint64_t zero
   EXPECT_EQ(d.ownership_moves, moves) << "ownership_moves";
   EXPECT_EQ(d.pages_pinned, pins) << "pages_pinned";
   EXPECT_EQ(d.local_alloc_failures, alloc_fails) << "local_alloc_failures";
+  const std::span<const StatsCounter> zero_groups[] = {kDegradeCounters, kChaosCounters,
+                                                       kDurabilityCounters, kAppCounters};
+  for (std::span<const StatsCounter> group : zero_groups) {
+    for (const StatsCounter& c : group) {
+      EXPECT_EQ(d.*c.field, 0u) << c.name;
+    }
+  }
 }
 
 struct Harness {

@@ -19,7 +19,9 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -149,21 +151,21 @@ void GoldenSumOfDeltas(bool tlb) {
   ASSERT_TRUE(state.finished);
   EXPECT_EQ(state.outcome, "ok");
   const ProcRefCounts t = run.stats.TotalRefs();
-  EXPECT_EQ(state.totals[kLcFetchLocal], t.fetch_local);
-  EXPECT_EQ(state.totals[kLcFetchGlobal], t.fetch_global);
-  EXPECT_EQ(state.totals[kLcFetchRemote], t.fetch_remote);
-  EXPECT_EQ(state.totals[kLcStoreLocal], t.store_local);
-  EXPECT_EQ(state.totals[kLcStoreGlobal], t.store_global);
-  EXPECT_EQ(state.totals[kLcStoreRemote], t.store_remote);
-  EXPECT_EQ(state.totals[kLcFaults], run.stats.page_faults);
-  EXPECT_EQ(state.totals[kLcZeroFills], run.stats.zero_fills);
-  EXPECT_EQ(state.totals[kLcCopies], run.stats.page_copies);
-  EXPECT_EQ(state.totals[kLcSyncs], run.stats.page_syncs);
-  EXPECT_EQ(state.totals[kLcFlushes], run.stats.page_flushes);
-  EXPECT_EQ(state.totals[kLcUnmaps], run.stats.page_unmaps);
-  EXPECT_EQ(state.totals[kLcMoves], run.stats.ownership_moves);
-  EXPECT_EQ(state.totals[kLcPins], run.stats.pages_pinned);
-  EXPECT_EQ(state.totals[kLcAllocFails], run.stats.local_alloc_failures);
+  EXPECT_EQ(state.totals[kLc_fetch_local], t.fetch_local);
+  EXPECT_EQ(state.totals[kLc_fetch_global], t.fetch_global);
+  EXPECT_EQ(state.totals[kLc_fetch_remote], t.fetch_remote);
+  EXPECT_EQ(state.totals[kLc_store_local], t.store_local);
+  EXPECT_EQ(state.totals[kLc_store_global], t.store_global);
+  EXPECT_EQ(state.totals[kLc_store_remote], t.store_remote);
+  EXPECT_EQ(state.totals[kLc_page_faults], run.stats.page_faults);
+  EXPECT_EQ(state.totals[kLc_zero_fills], run.stats.zero_fills);
+  EXPECT_EQ(state.totals[kLc_page_copies], run.stats.page_copies);
+  EXPECT_EQ(state.totals[kLc_page_syncs], run.stats.page_syncs);
+  EXPECT_EQ(state.totals[kLc_page_flushes], run.stats.page_flushes);
+  EXPECT_EQ(state.totals[kLc_page_unmaps], run.stats.page_unmaps);
+  EXPECT_EQ(state.totals[kLc_ownership_moves], run.stats.ownership_moves);
+  EXPECT_EQ(state.totals[kLc_pages_pinned], run.stats.pages_pinned);
+  EXPECT_EQ(state.totals[kLc_local_alloc_failures], run.stats.local_alloc_failures);
   EXPECT_EQ(state.totals[kLcTlbHits], run.tlb.hits);
   EXPECT_EQ(state.totals[kLcTlbMisses], run.tlb.misses);
   EXPECT_EQ(state.totals[kLcUserNs], static_cast<std::uint64_t>(run.user_ns));
@@ -292,9 +294,9 @@ Counters OneDelta(int counter, long long value) {
 }
 
 TEST(LiveValidator, AcceptsAWellFormedSegment) {
-  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLcFetchLocal, 2)) +
-                     SampleLine(1, 2000, 1000, OneDelta(kLcFetchLocal, 3)) +
-                     SummaryLine(2, 2000, OneDelta(kLcFetchLocal, 5));
+  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLc_fetch_local, 2)) +
+                     SampleLine(1, 2000, 1000, OneDelta(kLc_fetch_local, 3)) +
+                     SummaryLine(2, 2000, OneDelta(kLc_fetch_local, 5));
   LiveValidateResult v = ValidateLiveFeed(feed);
   EXPECT_TRUE(v.ok) << v.error;
   EXPECT_EQ(v.segments, 1u);
@@ -304,21 +306,21 @@ TEST(LiveValidator, AcceptsAWellFormedSegment) {
 }
 
 TEST(LiveValidator, RejectsTimestampRegression) {
-  std::string feed = MetaLine() + SampleLine(0, 2000, 2000, OneDelta(kLcFaults, 1)) +
-                     SampleLine(1, 1000, 0, OneDelta(kLcFaults, 1)) +
-                     SummaryLine(2, 1000, OneDelta(kLcFaults, 2));
+  std::string feed = MetaLine() + SampleLine(0, 2000, 2000, OneDelta(kLc_page_faults, 1)) +
+                     SampleLine(1, 1000, 0, OneDelta(kLc_page_faults, 1)) +
+                     SummaryLine(2, 1000, OneDelta(kLc_page_faults, 2));
   EXPECT_FALSE(ValidateLiveFeed(feed).ok);
 }
 
 TEST(LiveValidator, RejectsNegativeDelta) {
-  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLcSyncs, -1)) +
-                     SummaryLine(1, 1000, OneDelta(kLcSyncs, -1));
+  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLc_page_syncs, -1)) +
+                     SummaryLine(1, 1000, OneDelta(kLc_page_syncs, -1));
   EXPECT_FALSE(ValidateLiveFeed(feed).ok);
 }
 
 TEST(LiveValidator, RejectsSummaryThatDoesNotEqualTheDeltaSum) {
-  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLcMoves, 3)) +
-                     SummaryLine(1, 1000, OneDelta(kLcMoves, 4));
+  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLc_ownership_moves, 3)) +
+                     SummaryLine(1, 1000, OneDelta(kLc_ownership_moves, 4));
   EXPECT_FALSE(ValidateLiveFeed(feed).ok);
 }
 
@@ -329,8 +331,8 @@ TEST(LiveValidator, RejectsGarbageOnAnInteriorLine) {
 }
 
 TEST(LiveValidator, ToleratesATornFinalLineOnly) {
-  std::string good = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLcFaults, 1)) +
-                     SummaryLine(1, 1000, OneDelta(kLcFaults, 1));
+  std::string good = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLc_page_faults, 1)) +
+                     SummaryLine(1, 1000, OneDelta(kLc_page_faults, 1));
   // Final line unterminated (the writer died before its newline): tolerated.
   std::string unterminated = good.substr(0, good.size() - 1);
   LiveValidateResult v1 = ValidateLiveFeed(unterminated);
@@ -344,7 +346,7 @@ TEST(LiveValidator, ToleratesATornFinalLineOnly) {
 
 TEST(LiveValidator, ToleratesATrailingOpenSegment) {
   // A still-running (or killed) writer: meta + samples, summary never arrived.
-  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLcFaults, 1));
+  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLc_page_faults, 1));
   LiveValidateResult v = ValidateLiveFeed(feed);
   EXPECT_TRUE(v.ok) << v.error;
   EXPECT_TRUE(v.open_segment);
@@ -353,6 +355,119 @@ TEST(LiveValidator, ToleratesATrailingOpenSegment) {
 
 TEST(LiveValidator, RejectsAnEmptyFeed) {
   EXPECT_FALSE(ValidateLiveFeed("").ok);
+}
+
+// --- counter vocabulary ----------------------------------------------------------------
+
+// The ace-live-v1 counter keys, pinned once as the format contract, each with the
+// MachineStats counter it carries (a ProcRefCounts field for the reference totals;
+// null for host-side counters that live outside MachineStats). Renaming, dropping or
+// adding a key is a format change and must show up here.
+struct PinnedKey {
+  const char* key;
+  const char* field;
+};
+constexpr PinnedKey kPinnedKeys[] = {
+    {"fetch_local", "fetch_local"},
+    {"fetch_global", "fetch_global"},
+    {"fetch_remote", "fetch_remote"},
+    {"store_local", "store_local"},
+    {"store_global", "store_global"},
+    {"store_remote", "store_remote"},
+    {"faults", "page_faults"},
+    {"zero_fills", "zero_fills"},
+    {"copies", "page_copies"},
+    {"syncs", "page_syncs"},
+    {"flushes", "page_flushes"},
+    {"unmaps", "page_unmaps"},
+    {"moves", "ownership_moves"},
+    {"pins", "pages_pinned"},
+    {"alloc_fails", "local_alloc_failures"},
+    {"deg_fallbacks", "degraded_global_fallbacks"},
+    {"deg_copy_fails", "degraded_copy_failures"},
+    {"deg_pool_retries", "degraded_pool_retries"},
+    {"deg_oom_faults", "degraded_oom_faults"},
+    {"tlb_hits", nullptr},
+    {"tlb_misses", nullptr},
+    {"dec_local", nullptr},
+    {"dec_global", nullptr},
+    {"dec_remote", nullptr},
+    {"trace_emitted", nullptr},
+    {"trace_dropped", nullptr},
+    {"user_ns", nullptr},
+    {"system_ns", nullptr},
+    {"requests", "app_requests"},
+    {"req_lat_ns", "app_req_lat_ns"},
+    {"chaos_events", "chaos_events"},
+    {"evacuated_pages", "evacuated_pages"},
+    {"timeouts", "app_timeouts"},
+    {"retries", "app_retries"},
+    {"shed", "app_shed"},
+    {"replicated_pages", "replicated_pages"},
+    {"journal_bytes", "journal_bytes"},
+    {"recovered_pages", "recovered_pages"},
+    {"lost_pages", "lost_pages"},
+    {"checksum_failures", "checksum_failures"},
+    {"dead_nodes", nullptr},
+};
+
+int LiveIndexOf(const std::string& key) {
+  for (int i = 0; i < kNumLiveCounters; ++i) {
+    if (key == LiveCounterKey(i)) {
+      return i;
+    }
+  }
+  return -1;
+}
+
+TEST(LiveVocabulary, KeysAreExactlyThePinnedSet) {
+  ASSERT_EQ(static_cast<std::size_t>(kNumLiveCounters), std::size(kPinnedKeys));
+  std::set<std::string> seen;
+  for (int i = 0; i < kNumLiveCounters; ++i) {
+    EXPECT_TRUE(seen.insert(LiveCounterKey(i)).second) << "duplicate key " << LiveCounterKey(i);
+  }
+  std::set<std::string> pinned;
+  for (const PinnedKey& k : kPinnedKeys) {
+    pinned.insert(k.key);
+  }
+  EXPECT_EQ(seen, pinned);
+}
+
+// Every MachineStats counter, set to a distinct value, lands under its pinned key —
+// and no counter is missing from the pinned contract.
+TEST(LiveVocabulary, FlattenPutsEveryCounterUnderItsKey) {
+  LiveSample sample;
+  std::map<std::string, std::uint64_t> expected;  // field name -> flattened value
+  std::uint64_t next = 1000;
+  for (const auto& c : kRefCounters) {
+    // Two processors, so the flattened value is the cross-processor total.
+    sample.stats.refs[0].*c.field = next;
+    sample.stats.refs[3].*c.field = next * 7;
+    expected[c.name] = next * 8;
+    next += 1000;
+  }
+  for (const StatsCounter& c : kStatsCounters) {
+    sample.stats.*c.field = next;
+    expected[c.name] = next;
+    next += 1000;
+  }
+
+  std::uint64_t flat[kNumLiveCounters];
+  FlattenLiveCounters(sample, flat);
+  std::set<std::string> pinned_fields;
+  for (const PinnedKey& k : kPinnedKeys) {
+    if (k.field == nullptr) {
+      continue;
+    }
+    pinned_fields.insert(k.field);
+    const int i = LiveIndexOf(k.key);
+    ASSERT_GE(i, 0) << k.key;
+    ASSERT_EQ(expected.count(k.field), 1u) << "no counter named " << k.field;
+    EXPECT_EQ(flat[i], expected[k.field]) << k.key << " <- " << k.field;
+  }
+  for (const auto& [field, value] : expected) {
+    EXPECT_EQ(pinned_fields.count(field), 1u) << field << " has no pinned live key";
+  }
 }
 
 // --- trace-ring drop visibility ------------------------------------------------------

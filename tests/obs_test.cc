@@ -157,6 +157,35 @@ TEST(ObsSnapshot, DiffStatsSubtractsFieldWise) {
   b.pages_pinned = 1;
   b.refs[1].fetch_local = 9;
   b.refs[2].store_remote = 5;
+  // Every degrade, chaos, durability and serving counter gets its own before/after
+  // pair, so a counter the diff skips or mixes up with another fails by name.
+  struct Pair {
+    std::uint64_t MachineStats::*field;
+    const char* name;
+    std::uint64_t before, after;
+  };
+  const Pair pairs[] = {
+      {&MachineStats::degraded_global_fallbacks, "degraded_global_fallbacks", 100, 101},
+      {&MachineStats::degraded_copy_failures, "degraded_copy_failures", 200, 202},
+      {&MachineStats::degraded_pool_retries, "degraded_pool_retries", 300, 303},
+      {&MachineStats::degraded_oom_faults, "degraded_oom_faults", 400, 404},
+      {&MachineStats::chaos_events, "chaos_events", 500, 505},
+      {&MachineStats::evacuated_pages, "evacuated_pages", 600, 606},
+      {&MachineStats::replicated_pages, "replicated_pages", 700, 707},
+      {&MachineStats::journal_bytes, "journal_bytes", 800, 808},
+      {&MachineStats::recovered_pages, "recovered_pages", 900, 909},
+      {&MachineStats::lost_pages, "lost_pages", 1000, 1010},
+      {&MachineStats::checksum_failures, "checksum_failures", 1100, 1111},
+      {&MachineStats::app_requests, "app_requests", 1200, 1212},
+      {&MachineStats::app_req_lat_ns, "app_req_lat_ns", 1300, 1313},
+      {&MachineStats::app_timeouts, "app_timeouts", 1400, 1414},
+      {&MachineStats::app_retries, "app_retries", 1500, 1515},
+      {&MachineStats::app_shed, "app_shed", 1600, 1616},
+  };
+  for (const Pair& p : pairs) {
+    a.*p.field = p.before;
+    b.*p.field = p.after;
+  }
 
   MachineStats d = DiffStats(a, b);
   EXPECT_EQ(d.page_faults, 3u);
@@ -165,6 +194,9 @@ TEST(ObsSnapshot, DiffStatsSubtractsFieldWise) {
   EXPECT_EQ(d.pages_pinned, 1u);
   EXPECT_EQ(d.refs[1].fetch_local, 2u);
   EXPECT_EQ(d.refs[2].store_remote, 5u);
+  for (const Pair& p : pairs) {
+    EXPECT_EQ(d.*p.field, p.after - p.before) << p.name;
+  }
 
   std::string line = FormatProtocolCounters(d);
   EXPECT_NE(line.find("faults=3"), std::string::npos);

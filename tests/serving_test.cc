@@ -272,16 +272,16 @@ TEST(ServingLive, RequestCountersReachTheLiveSample) {
 
   LiveSample sample;
   machine.CaptureLiveSample(&sample);
-  EXPECT_EQ(sample.app_requests, 256u);
-  EXPECT_GT(sample.app_req_lat_ns, 0u);
+  EXPECT_EQ(sample.stats.app_requests, 256u);
+  EXPECT_GT(sample.stats.app_req_lat_ns, 0u);
 
   // The flat counter vocabulary carries both, in the declared slots.
   std::uint64_t flat[kNumLiveCounters];
   FlattenLiveCounters(sample, flat);
-  EXPECT_EQ(flat[kLcRequests], sample.app_requests);
-  EXPECT_EQ(flat[kLcReqLatNs], sample.app_req_lat_ns);
-  EXPECT_EQ(std::string(LiveCounterKey(kLcRequests)), "requests");
-  EXPECT_EQ(std::string(LiveCounterKey(kLcReqLatNs)), "req_lat_ns");
+  EXPECT_EQ(flat[kLc_app_requests], sample.stats.app_requests);
+  EXPECT_EQ(flat[kLc_app_req_lat_ns], sample.stats.app_req_lat_ns);
+  EXPECT_EQ(std::string(LiveCounterKey(kLc_app_requests)), "requests");
+  EXPECT_EQ(std::string(LiveCounterKey(kLc_app_req_lat_ns)), "req_lat_ns");
 }
 
 // --- golden file -------------------------------------------------------------------
