@@ -22,72 +22,36 @@ thread_local Runtime* Runtime::active_ = nullptr;
 Machine& Env::machine() { return runtime_->machine(); }
 Task& Env::task() { return runtime_->task(); }
 
-std::uint32_t Env::Load(VirtAddr va) {
-  std::uint32_t v = runtime_->machine_->LoadWord(runtime_->task(), proc_, va);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
-  return v;
-}
-
-void Env::Store(VirtAddr va, std::uint32_t value) {
-  runtime_->machine_->StoreWord(runtime_->task(), proc_, va, value);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
-}
-
 std::uint32_t Env::TestAndSet(VirtAddr va, std::uint32_t new_value) {
   std::uint32_t v = runtime_->machine_->TestAndSet(runtime_->task(), proc_, va, new_value);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
+  runtime_->AfterOp(*this);
   return v;
 }
 
 std::uint32_t Env::FetchAdd(VirtAddr va, std::uint32_t delta) {
   std::uint32_t v = runtime_->machine_->FetchAdd(runtime_->task(), proc_, va, delta);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
+  runtime_->AfterOp(*this);
   return v;
 }
 
 std::uint32_t Env::FetchOr(VirtAddr va, std::uint32_t bits) {
   std::uint32_t v = runtime_->machine_->FetchOr(runtime_->task(), proc_, va, bits);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
+  runtime_->AfterOp(*this);
   return v;
-}
-
-void Env::Compute(TimeNs ns) {
-  runtime_->machine_->Compute(proc_, ns);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
 }
 
 void Env::Yield() { runtime_->MaybeYield(*this, /*voluntary=*/true); }
 
 void Env::MigrateTo(ProcId new_proc, bool move_pages) {
   ACE_CHECK(new_proc >= 0 && new_proc < runtime_->machine_->num_processors());
-  if (runtime_->machine_->recovery() != nullptr) {
-    // A migration aimed at a node lost to kill-node chaos lands on the next live
-    // processor instead — a real OS refuses to bind to an offline CPU. Terminates:
-    // the recovery manager guarantees at least one live processor (the caller's).
-    while (runtime_->machine_->recovery()->node_dead(new_proc)) {
-      new_proc = (new_proc + 1) % runtime_->machine_->num_processors();
-    }
-  }
+  // A migration aimed at a node lost to kill-node chaos lands on the next live
+  // processor instead — a real OS refuses to bind to an offline CPU.
+  new_proc = runtime_->FirstLiveProc(new_proc);
   if (new_proc == proc_) {
     return;
   }
-  ProcId old_proc = proc_;
-  // Keep causality: pad the destination with idle time if it is behind (it may have
-  // been sitting empty while this thread worked).
-  TimeNs skew = runtime_->ProcNow(old_proc) - runtime_->ProcNow(new_proc);
-  if (skew > 0) {
-    // Idle padding advances new_proc's clock outside any reference run; commit open
-    // runs first so their bus-horizon stamps stay per-reference-exact.
-    runtime_->machine_->FlushPendingRefs();
-    runtime_->machine_->clocks().ChargeIdle(new_proc, skew);
-  }
-  if (move_pages) {
-    runtime_->machine_->numa_manager().MigrateResidentPages(old_proc, new_proc);
-  }
-  proc_ = new_proc;
-  Runtime::Fiber& fiber = *runtime_->fibers_[static_cast<std::size_t>(tid_)];
-  fiber.migrate_epoch_ns = runtime_->ProcNow(new_proc);
-  runtime_->migrations_++;
+  runtime_->MoveFiber(*runtime_->fibers_[static_cast<std::size_t>(tid_)], new_proc,
+                      move_pages);
   runtime_->MaybeYield(*this, /*voluntary=*/true);
 }
 
@@ -97,6 +61,7 @@ Runtime::Runtime(Machine* machine, Task* task, Options options)
     : machine_(machine), task_(task), options_(options) {
   ACE_CHECK(machine_ != nullptr && task_ != nullptr);
   ACE_CHECK(options_.stack_bytes >= 16 * 1024);
+  now_ = machine_->clocks().now_data();
 }
 
 Runtime::~Runtime() = default;
@@ -117,61 +82,21 @@ void Runtime::FiberTrampoline() {
     }
     rt->killing_ = true;
   }
-  fiber.finished = true;
-  rt->live_count_--;
+  // Retire the fiber's live record: the last record takes over its slot.
+  const std::size_t slot = static_cast<std::size_t>(fiber.slot);
+  rt->live_on_proc_[static_cast<std::size_t>(fiber.env.proc_)]--;
+  rt->live_[slot] = rt->live_.back();
+  rt->fibers_[static_cast<std::size_t>(rt->live_[slot].tid)]->slot = fiber.slot;
+  rt->live_.pop_back();
+  fiber.slot = -1;
   // Hand off for good — to the next runnable fiber, or back to Run() when this was
   // the last one. This context is never resumed either way.
-  if (rt->live_count_ > 0) {
+  if (!rt->live_.empty()) {
     rt->DispatchNextFrom(&fiber.ctx, -1);
   } else {
     FiberContext::Switch(&fiber.ctx, &rt->main_ctx_);
   }
   ACE_CHECK_MSG(false, "finished fiber was resumed");
-}
-
-int Runtime::PickNext() const {
-  int best = -1;
-  TimeNs best_clock = 0;
-  std::uint64_t best_seq = 0;
-  for (std::size_t i = 0; i < fibers_.size(); ++i) {
-    const Fiber& f = *fibers_[i];
-    if (f.finished) {
-      continue;
-    }
-    TimeNs clock = ProcNow(f.env.proc_);
-    if (best < 0 || clock < best_clock || (clock == best_clock && f.seq < best_seq)) {
-      best = static_cast<int>(i);
-      best_clock = clock;
-      best_seq = f.seq;
-    }
-  }
-  return best;
-}
-
-TimeNs Runtime::DeadlineFor(int chosen) const {
-  const Fiber& me = *fibers_[static_cast<std::size_t>(chosen)];
-  TimeNs deadline = -1;
-  for (std::size_t i = 0; i < fibers_.size(); ++i) {
-    if (static_cast<int>(i) == chosen) {
-      continue;
-    }
-    const Fiber& f = *fibers_[i];
-    if (f.finished) {
-      continue;
-    }
-    TimeNs t;
-    if (f.env.proc_ == me.env.proc_) {
-      // Sharing our processor: the peer's notional time advances with ours; bound our
-      // run by a timeslice so it is not starved.
-      t = ProcNow(me.env.proc_) + options_.timeslice_ns;
-    } else {
-      t = ProcNow(f.env.proc_);
-    }
-    if (deadline < 0 || t < deadline) {
-      deadline = t;
-    }
-  }
-  return deadline;
 }
 
 void Runtime::MaybeYield(Env& env, bool voluntary) {
@@ -185,26 +110,10 @@ void Runtime::MaybeYield(Env& env, bool voluntary) {
     if (ran >= options_.migrate_quantum_ns) {
       // Move to the next processor, modeling the original Mach single-queue scheduler
       // under which "processes mov[ed] between processors far too often" (sec. 4.7).
-      ProcId old_proc = env.proc_;
-      ProcId new_proc = (env.proc_ + 1) % machine_->num_processors();
-      if (machine_->recovery() != nullptr) {
-        // Rotation skips nodes lost to kill-node chaos; stops at old_proc (live by
-        // construction) when no other processor survives.
-        while (machine_->recovery()->node_dead(new_proc)) {
-          new_proc = (new_proc + 1) % machine_->num_processors();
-        }
-      }
-      // Keep causality: the destination may be behind; pad with idle time so the
-      // thread cannot observe state "before" it was produced.
-      TimeNs skew = ProcNow(old_proc) - ProcNow(new_proc);
-      if (skew > 0) {
-        // As in MigrateTo: commit open runs before idle-padding the destination.
-        machine_->FlushPendingRefs();
-        machine_->clocks().ChargeIdle(new_proc, skew);
-      }
-      env.proc_ = new_proc;
-      fiber.migrate_epoch_ns = ProcNow(new_proc);
-      migrations_++;
+      // Rotation skips nodes lost to kill-node chaos; it stops at the current
+      // processor (live by construction) when no other processor survives.
+      MoveFiber(fiber, FirstLiveProc((env.proc_ + 1) % machine_->num_processors()),
+                /*move_pages=*/false);
       voluntary = true;  // force a pass through the scheduler to recompute deadlines
     }
   }
@@ -212,7 +121,7 @@ void Runtime::MaybeYield(Env& env, bool voluntary) {
   if (!voluntary && ProcNow(env.proc_) <= current_deadline_) {
     return;  // still the earliest runnable thread: keep running without a switch
   }
-  fiber.seq = next_seq_++;
+  live_[static_cast<std::size_t>(fiber.slot)].seq = next_seq_++;
   DispatchNextFrom(&fiber.ctx, env.tid_);
   if (killing_) {
     // The kill arrived while this fiber was parked; unwind before touching the
@@ -222,39 +131,42 @@ void Runtime::MaybeYield(Env& env, bool voluntary) {
 }
 
 void Runtime::DispatchNextFrom(FiberContext* from, int self) {
-  int next = PickNext();
-  ACE_CHECK_MSG(next >= 0, "no runnable thread but work remains");
+  ACE_CHECK_MSG(!live_.empty(), "no runnable thread but work remains");
+  DispatchPick pick = Pick();
   if (machine_->chaos() != nullptr) {
     // Chaos transitions fire when the minimum runnable clock — monotone across
     // dispatches — crosses an event boundary. A transition can advance a clock (a
     // stall pads the node to its window end) or charge evacuation time to the
-    // chosen fiber's processor, so re-pick until no further transition applies;
-    // each event transitions at most twice, so the loop is bounded.
-    while (machine_->chaos()->Advance(
-        ProcNow(fibers_[static_cast<std::size_t>(next)]->env.proc_),
-        fibers_[static_cast<std::size_t>(next)]->env.proc_)) {
-      next = PickNext();
+    // chosen fiber's processor, so re-pick (deadline included) until no further
+    // transition applies; each event transitions at most twice, so the loop is
+    // bounded.
+    ProcId proc = live_[static_cast<std::size_t>(pick.slot)].proc;
+    while (machine_->chaos()->Advance(ProcNow(proc), proc)) {
+      pick = Pick();
+      proc = live_[static_cast<std::size_t>(pick.slot)].proc;
     }
     // A kill-node transition orphans the fibers bound to the dead processor; move
     // them to live processors before dispatching (a dead node must never execute).
     if (machine_->recovery() != nullptr && machine_->recovery()->has_dead_nodes()) {
       if (RehomeDeadNodeFibers()) {
-        next = PickNext();
+        pick = Pick();
       }
     }
   }
+  const int next = live_[static_cast<std::size_t>(pick.slot)].tid;
+  Fiber& fiber = *fibers_[static_cast<std::size_t>(next)];
   if (options_.sampler != nullptr) {
     // The chosen fiber's clock is the minimum runnable clock — monotone
     // nondecreasing across dispatches, so it is a valid sample timestamp. Ticked
     // before the watchdog check: a livelock budget evaluated from the sample stream
     // sees the capture that crossed the budget, not a stale one.
-    options_.sampler->Tick(ProcNow(fibers_[static_cast<std::size_t>(next)]->env.proc_));
+    options_.sampler->Tick(ProcNow(fiber.env.proc_));
   }
-  CheckWatchdog(next);
+  if (options_.watchdog.enabled()) {
+    CheckWatchdog(next);
+  }
   current_ = next;
-  current_deadline_ = DeadlineFor(next);
-  Fiber& fiber = *fibers_[static_cast<std::size_t>(next)];
-  fiber.last_dispatch_ns = ProcNow(fiber.env.proc_);
+  current_deadline_ = pick.deadline;
   context_switches_++;
   if (next == self) {
     return;  // the yielding fiber won the dispatch again: no stack switch needed
@@ -265,9 +177,10 @@ void Runtime::DispatchNextFrom(FiberContext* from, int self) {
 bool Runtime::RehomeDeadNodeFibers() {
   RecoveryManager* recovery = machine_->recovery();
   bool moved = false;
+  // Tid order: each move pads a clock the next orphan's choice reads.
   for (auto& fp : fibers_) {
     Fiber& fiber = *fp;
-    if (fiber.finished || !recovery->node_dead(fiber.env.proc_)) {
+    if (fiber.slot < 0 || !recovery->node_dead(fiber.env.proc_)) {
       continue;
     }
     // Deterministic new home: the surviving processor with the smallest clock (ties
@@ -284,28 +197,50 @@ bool Runtime::RehomeDeadNodeFibers() {
       }
     }
     ACE_CHECK_MSG(best != kNoProc, "kill-node left no surviving processor");
-    const ProcId old_proc = fiber.env.proc_;
-    // Keep causality exactly like Env::MigrateTo: pad the destination with idle time
-    // if it is behind the orphaned fiber's clock (committing open reference runs
-    // first so their bus-horizon stamps stay per-reference-exact). The dead node's
-    // pages were already re-homed to global memory by the recovery manager, so there
-    // is nothing to move.
-    TimeNs skew = ProcNow(old_proc) - ProcNow(best);
-    if (skew > 0) {
-      machine_->FlushPendingRefs();
-      machine_->clocks().ChargeIdle(best, skew);
-    }
-    fiber.env.proc_ = best;
-    fiber.migrate_epoch_ns = ProcNow(best);
-    migrations_++;
+    // The dead node's pages were already re-homed to global memory by the recovery
+    // manager, so there is nothing to move.
+    MoveFiber(fiber, best, /*move_pages=*/false);
     moved = true;
   }
   return moved;
 }
 
+ProcId Runtime::FirstLiveProc(ProcId proc) const {
+  const RecoveryManager* recovery = machine_->recovery();
+  if (recovery != nullptr) {
+    // Terminates: the recovery manager guarantees at least one live processor.
+    while (recovery->node_dead(proc)) {
+      proc = (proc + 1) % machine_->num_processors();
+    }
+  }
+  return proc;
+}
+
+void Runtime::MoveFiber(Fiber& fiber, ProcId new_proc, bool move_pages) {
+  const ProcId old_proc = fiber.env.proc_;
+  // Keep causality: pad the destination with idle time if it is behind (it may have
+  // been sitting empty while this thread worked), so the thread cannot observe state
+  // "before" it was produced. Idle padding advances the clock outside any reference
+  // run; commit open runs first so their bus-horizon stamps stay per-reference-exact.
+  TimeNs skew = ProcNow(old_proc) - ProcNow(new_proc);
+  if (skew > 0) {
+    machine_->FlushPendingRefs();
+    machine_->clocks().ChargeIdle(new_proc, skew);
+  }
+  if (move_pages) {
+    machine_->numa_manager().MigrateResidentPages(old_proc, new_proc);
+  }
+  fiber.env.proc_ = new_proc;
+  live_[static_cast<std::size_t>(fiber.slot)].proc = new_proc;
+  live_on_proc_[static_cast<std::size_t>(old_proc)]--;
+  live_on_proc_[static_cast<std::size_t>(new_proc)]++;
+  fiber.migrate_epoch_ns = ProcNow(new_proc);
+  migrations_++;
+}
+
 void Runtime::CheckWatchdog(int next) {
   const WatchdogLimits& wd = options_.watchdog;
-  if (killing_ || !wd.enabled()) {
+  if (killing_) {
     return;
   }
   const Fiber& fiber = *fibers_[static_cast<std::size_t>(next)];
@@ -364,7 +299,8 @@ void Runtime::Run(int num_threads, const Body& body) {
   active_ = this;
   body_ = &body;
   fibers_.clear();
-  live_count_ = num_threads;
+  live_.clear();
+  live_on_proc_.assign(static_cast<std::size_t>(machine_->num_processors()), 0);
   killing_ = false;
   kill_reason_.clear();
   kill_detail_.clear();
@@ -376,7 +312,9 @@ void Runtime::Run(int num_threads, const Body& body) {
     fiber->env.tid_ = i;
     fiber->env.proc_ = static_cast<ProcId>(i % machine_->num_processors());
     fiber->stack = std::make_unique<char[]>(options_.stack_bytes);
-    fiber->seq = next_seq_++;
+    fiber->slot = static_cast<int>(live_.size());
+    live_.push_back({next_seq_++, fiber->env.proc_, i});
+    live_on_proc_[static_cast<std::size_t>(fiber->env.proc_)]++;
     fiber->migrate_epoch_ns = ProcNow(fiber->env.proc_);
     fiber->ctx.Seed(fiber->stack.get(), options_.stack_bytes, &Runtime::FiberTrampoline);
     fibers_.push_back(std::move(fiber));
@@ -388,7 +326,7 @@ void Runtime::Run(int num_threads, const Body& body) {
   // is identical to a central pick-switch-return loop; the direct handoff just
   // halves the context switches executed per dispatch.
   DispatchNextFrom(&main_ctx_, -1);
-  ACE_CHECK(live_count_ == 0);
+  ACE_CHECK(live_.empty());
 
   // Every fiber stack has been unwound; safe to surface what ended the run.
   if (fiber_exception_) {

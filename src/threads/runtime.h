@@ -3,9 +3,10 @@
 // The paper's applications are Mach C-Threads (or EPEX FORTRAN) programs; here they
 // are C++ functions executed on fibers, one fiber per simulated thread. A single host
 // thread runs everything: the scheduler always resumes the fiber whose processor has
-// the smallest virtual clock (ties broken by thread id), so every run is
-// bit-reproducible. A fiber keeps running without a context switch while its processor
-// clock remains the minimum — the common case for page-local streaks.
+// the smallest virtual clock (ties go to the fiber dispatched longest ago: round
+// robin), so every run is bit-reproducible. A fiber keeps running without a context
+// switch while its processor clock remains the minimum — the common case for
+// page-local streaks.
 //
 // Scheduling policy mirrors paper section 4.7: the default binds each thread to a
 // processor for its lifetime ("we modified the Mach scheduler to bind each newly
@@ -16,10 +17,13 @@
 #ifndef SRC_THREADS_RUNTIME_H_
 #define SRC_THREADS_RUNTIME_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +40,8 @@ class Runtime;
 
 // Per-thread handle through which application code touches simulated memory. All
 // loads/stores/atomics charge the thread's current processor and may context-switch.
+// Load, Store and Compute are inline (defined after Runtime below), so the common
+// no-switch case costs the machine access plus one clock compare.
 class Env {
  public:
   std::uint32_t Load(VirtAddr va);
@@ -73,6 +79,59 @@ enum class SchedulerKind {
   kAffinity = 0,   // bind thread i to processor (i % P) for its lifetime
   kMigrating = 1,  // move each thread to the next processor every quantum
 };
+
+// One unfinished fiber as the dispatcher sees it. The runtime keeps these in a
+// compact, unordered array so a dispatch scans plain records, not fibers.
+struct LiveFiber {
+  std::uint64_t seq;  // dispatch sequence number: the round-robin tie-break
+  ProcId proc;        // the fiber's processor (always equal to its Env::proc())
+  int tid;
+};
+
+// A dispatch decision: the live fiber to run next and the clock its processor may
+// reach before another fiber must be considered.
+struct DispatchPick {
+  int slot;         // index into the live array
+  TimeNs deadline;  // -1 when no other fiber is live
+};
+
+// The dispatcher's pick, in one scan over `live` (non-empty). The chosen fiber has the
+// smallest (now[proc], seq); seqs are unique, so the array's order does not matter.
+// Its deadline is the smallest clock of any live fiber on another processor, capped
+// at its own clock + `timeslice_ns` when `live_on_proc[proc] > 1` (a peer shares its
+// processor and must not be starved); -1 when neither exists. A pure function of its
+// arguments, inline so the scan inlines into the dispatcher.
+inline DispatchPick PickNext(std::span<const LiveFiber> live, const TimeNs* now,
+                             const int* live_on_proc, TimeNs timeslice_ns) {
+  constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
+  // The best fiber so far, and `other`: the smallest clock seen on any processor
+  // other than the best fiber's.
+  int best = 0;
+  std::uint64_t best_seq = 0;
+  TimeNs best_clock = kNever;
+  ProcId best_proc = kNoProc;
+  TimeNs other = kNever;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const LiveFiber& f = live[i];
+    const TimeNs clock = now[f.proc];
+    if (clock < best_clock || (clock == best_clock && f.seq < best_seq)) {
+      if (f.proc != best_proc) {
+        other = best_clock;  // the displaced best: no clock seen so far is smaller
+      }
+      best = static_cast<int>(i);
+      best_seq = f.seq;
+      best_clock = clock;
+      best_proc = f.proc;
+    } else if (clock < other && f.proc != best_proc) {
+      other = clock;
+    }
+  }
+  TimeNs deadline = other;
+  if (live_on_proc[best_proc] > 1) {
+    deadline = std::min(deadline, best_clock + timeslice_ns);
+  }
+  return {best, deadline == kNever ? -1 : deadline};
+}
 
 class Runtime {
  public:
@@ -113,7 +172,8 @@ class Runtime {
   Machine& machine() { return *machine_; }
   Task& task() { return *task_; }
 
-  // Total context switches performed (scheduling fidelity metric).
+  // Total dispatches performed (scheduling fidelity metric). A yielding fiber that
+  // wins the dispatch again counts too, although no stack switch happens.
   std::uint64_t context_switches() const { return context_switches_; }
   std::uint64_t migrations() const { return migrations_; }
 
@@ -124,9 +184,7 @@ class Runtime {
     FiberContext ctx;
     std::unique_ptr<char[]> stack;
     Env env;
-    bool finished = false;
-    std::uint64_t seq = 0;         // dispatch sequence number (round-robin tie-break)
-    TimeNs last_dispatch_ns = 0;   // proc clock when last dispatched (timeslice)
+    int slot = -1;                 // index of its LiveFiber in live_; -1 once finished
     TimeNs migrate_epoch_ns = 0;   // proc clock when the thread landed on this proc
   };
 
@@ -134,6 +192,7 @@ class Runtime {
 
   // Check watchdog limits before dispatching `next`; on a trip, record the kill
   // reason/diagnostics and flip killing_ so every fiber unwinds at its next Env op.
+  // Only called while the watchdog is armed.
   void CheckWatchdog(int next);
 
   // The dispatcher: pick the earliest runnable fiber, stamp the dispatch bookkeeping
@@ -145,31 +204,44 @@ class Runtime {
   // of a central scheduler loop.
   void DispatchNextFrom(FiberContext* from, int self);
 
-  // Called by Env after every time-advancing operation: switch to the scheduler if
-  // this thread's processor clock is no longer the minimum.
+  // Called by Env after every time-advancing operation. The inline no-switch check:
+  // under the affinity scheduler, a fiber whose processor clock has not passed its
+  // deadline keeps running. Everything else goes through MaybeYield.
+  void AfterOp(Env& env);
+
+  // Switch to the scheduler if this thread's processor clock is past its deadline (or
+  // `voluntary`), after the migrating scheduler's quantum check; unwinds on a kill.
   void MaybeYield(Env& env, bool voluntary);
 
-  // Pick the next fiber to dispatch; -1 if none runnable.
-  int PickNext() const;
+  // One dispatch pick over the current live fibers and clocks.
+  DispatchPick Pick() const {
+    return PickNext(live_, now_, live_on_proc_.data(), options_.timeslice_ns);
+  }
+  // The first processor at or after `proc` (cyclically) not lost to kill-node chaos.
+  ProcId FirstLiveProc(ProcId proc) const;
+  // Move `fiber` to `new_proc`: pad the destination's clock with idle time when it is
+  // behind (causality), optionally bulk-migrate its local pages, rebind the fiber and
+  // its live record, and count the migration.
+  void MoveFiber(Fiber& fiber, ProcId new_proc, bool move_pages);
   // Move every unfinished fiber whose processor died (kill-node chaos) to the
   // surviving processor with the smallest clock, idle-padding causality exactly like
   // MigrateTo. Returns true when any fiber moved (the caller re-picks). Only ever
   // called when the machine's recovery manager reports dead nodes.
   bool RehomeDeadNodeFibers();
-  // Deadline for the chosen fiber: smallest clock among *other* runnable fibers.
-  TimeNs DeadlineFor(int chosen) const;
 
-  TimeNs ProcNow(ProcId proc) const { return machine_->clocks().now(proc); }
+  TimeNs ProcNow(ProcId proc) const { return now_[proc]; }
 
   Machine* machine_;
   Task* task_;
   Options options_;
+  const TimeNs* now_ = nullptr;  // the machine's clocks (ProcClocks::now_data)
 
-  std::vector<std::unique_ptr<Fiber>> fibers_;
+  std::vector<std::unique_ptr<Fiber>> fibers_;  // indexed by tid
+  std::vector<LiveFiber> live_;                 // unfinished fibers, unordered
+  std::vector<int> live_on_proc_;               // live fibers bound to each processor
   FiberContext main_ctx_;  // Run()'s own context; resumed when the last fiber exits
   int current_ = -1;
   TimeNs current_deadline_ = 0;
-  int live_count_ = 0;
   std::uint64_t next_seq_ = 0;
   const Body* body_ = nullptr;
 
@@ -188,6 +260,30 @@ class Runtime {
   // (the sweep engine, src/metrics/sweep); a runtime never spans host threads.
   static thread_local Runtime* active_;
 };
+
+inline void Runtime::AfterOp(Env& env) {
+  if (!killing_ && options_.scheduler == SchedulerKind::kAffinity &&
+      now_[env.proc_] <= current_deadline_) {
+    return;  // still the earliest runnable thread: keep running without a switch
+  }
+  MaybeYield(env, /*voluntary=*/false);
+}
+
+inline std::uint32_t Env::Load(VirtAddr va) {
+  std::uint32_t v = runtime_->machine_->LoadWord(*runtime_->task_, proc_, va);
+  runtime_->AfterOp(*this);
+  return v;
+}
+
+inline void Env::Store(VirtAddr va, std::uint32_t value) {
+  runtime_->machine_->StoreWord(*runtime_->task_, proc_, va, value);
+  runtime_->AfterOp(*this);
+}
+
+inline void Env::Compute(TimeNs ns) {
+  runtime_->machine_->Compute(proc_, ns);
+  runtime_->AfterOp(*this);
+}
 
 }  // namespace ace
 
