@@ -19,20 +19,13 @@ namespace ace {
 
 namespace {
 
-// The checker drives NumaManager directly, below the pmap layer; there are no
-// virtual mappings to drop.
-class NullMappings : public MappingControl {
- public:
-  void RemoveMappingsOn(LogicalPage, ProcId) override {}
-  void RemoveAllMappings(LogicalPage) override {}
-};
-
-// Software-TLB mirror (ConformConfig::tlb): caches every resolution per (proc, page)
-// and discards entries ONLY through the MappingControl callbacks — the exact
-// discipline Machine's per-processor TLB (src/machine/tlb.h) relies on. Unlike the
-// real direct-mapped TLB it never conflict-evicts, so every translation the protocol
-// failed to shoot down survives to be caught by Validate().
-class TlbMirror : public MappingControl {
+// The real side's MappingControl. The checker drives NumaManager directly, below the
+// pmap layer, so this mirror stands in for the per-processor MMUs: it records every
+// resolution per (proc, page) and discards entries ONLY through the MappingControl
+// callbacks — the unmap discipline Machine's fast path relies on, since its MMU
+// entries are used until the protocol drops them. Every translation the protocol
+// failed to drop survives to be caught by Validate().
+class MappingMirror : public MappingControl {
  public:
   struct Entry {
     FrameRef frame;
@@ -67,11 +60,11 @@ class TlbMirror : public MappingControl {
         continue;
       }
       std::ostringstream out;
-      out << "stale TLB entry: proc " << proc << " page " << lp << " -> "
+      out << "stale mapping: proc " << proc << " page " << lp << " -> "
           << (e.frame.is_global() ? "global" : "local") << " node=" << e.frame.node
           << " index=" << e.frame.index << " prot=" << ProtName(e.prot)
           << " survived a transition to state=" << PageStateName(info.state)
-          << " owner=" << info.owner << " (missed shootdown)";
+          << " owner=" << info.owner << " (missed unmap)";
       return out.str();
     }
     return std::nullopt;
@@ -184,8 +177,7 @@ struct Differ::Impl {
         phys(machine),
         clocks(machine.num_processors),
         policy(BuildPolicy(cc, &stats)),
-        manager(machine, &phys, &clocks, &stats, &bus, policy.get(),
-                cc.tlb ? static_cast<MappingControl*>(&tlb) : &mappings),
+        manager(machine, &phys, &clocks, &stats, &bus, policy.get(), &mappings),
         model(BuildModelConfig(cc)),
         obs(cc.num_processors, cc.pages, &clocks) {
     if (!cc.plan.empty()) {
@@ -220,8 +212,7 @@ struct Differ::Impl {
   MachineStats stats;
   IpcBus bus;
   std::unique_ptr<NumaPolicy> policy;
-  NullMappings mappings;
-  TlbMirror tlb;  // real side's MappingControl when config.tlb — declared before manager
+  MappingMirror mappings;  // declared before manager, which holds a pointer to it
   NumaManager manager;
   RefModel model;
   Observability obs;
@@ -311,12 +302,7 @@ std::optional<std::string> Differ::Impl::CompareAll() {
       return out.str();
     }
   }
-  if (config.tlb) {
-    if (std::optional<std::string> stale = tlb.Validate(manager)) {
-      return stale;
-    }
-  }
-  return std::nullopt;
+  return mappings.Validate(manager);
 }
 
 Differ::Differ(const ConformConfig& config) : impl_(new Impl(config)) {}
@@ -368,15 +354,13 @@ std::optional<std::string> Differ::Step(const ConformOp& op) {
         im.manager.NoteStore(op.lp, offset, op.value, op.proc, /*charge=*/true);
         im.model.NoteStore(op.lp);
       }
-      if (cc.tlb) {
-        im.tlb.Install(op.proc, op.lp, got.frame, got.prot);
-      }
+      im.mappings.Install(op.proc, op.lp, got.frame, got.prot);
       break;
     }
     case ConformOp::Kind::kFree:
       // pmap_free_page drops the mappings before releasing the cache state
       // (pmap_ace.cc); the mirror models the pmap, so it must do the same.
-      im.tlb.RemoveAllMappings(op.lp);
+      im.mappings.RemoveAllMappings(op.lp);
       im.manager.ResetPage(op.lp, op.proc);
       im.manager.MarkZeroPending(op.lp);
       im.model.FreePage(op.lp);

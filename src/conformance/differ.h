@@ -39,13 +39,6 @@ struct ConformConfig {
   // that actually fires must surface as a divergence. Empty = no injection.
   FaultPlan plan;
   std::uint64_t fault_seed = 0;
-  // Mirror the software TLB (src/machine/tlb.h) on the real side: every resolution is
-  // cached per (proc, page) and only the MappingControl callbacks may invalidate it,
-  // exactly the discipline Machine's TLB relies on. After every operation each cached
-  // entry is checked against the manager's protocol state; a stale entry — a state
-  // transition that should have shot the translation down but didn't — is a
-  // divergence. ace_conform and the soak flip this per seed (the ACE_TLB analog).
-  bool tlb = false;
   // Arm the durability substrate on the real side (a ReplicaManager with an
   // effectively unbounded journal — the RefModel's mirror assumes every owned page
   // is recoverable) and let GenerateOps emit kill-node / corrupt-page operations.

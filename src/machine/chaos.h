@@ -62,7 +62,8 @@ class ChaosController {
   }
 
   // Whether the plan carries any slow-link event. The machine then disables batched
-  // TLB accounting: cached per-entry costs would bypass the window multiplier.
+  // fast-path accounting: costs cached in MMU entries would bypass the window
+  // multiplier.
   bool has_slow_link() const { return has_slow_link_; }
 
   // Window hull over all events, for SLO reporting (the serving app splits its

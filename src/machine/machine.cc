@@ -15,8 +15,8 @@ namespace {
 // a Rosetta displacement refault); more retries indicate a protocol livelock.
 constexpr int kMaxFaultRetries = 4;
 
-// ACE_TLB / ACE_TLB_VERIFY: unset or empty keeps `fallback`; "0", "off" or "false"
-// disables; anything else enables.
+// ACE_TLB_VERIFY: unset or empty keeps `fallback`; "0", "off" or "false" disables;
+// anything else enables.
 bool EnvToggle(const char* name, bool fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') {
@@ -33,10 +33,9 @@ Machine::Machine(Options options)
       page_mask_(options_.config.page_size - 1),
       clocks_(options_.config.num_processors),
       bus_(options_.bus),
-      tlb_(options_.config.num_processors, options_.config.tlb_entries),
+      tlb_(options_.config.num_processors),
       phys_(options_.config) {
   options_.config.Validate();
-  tlb_on_ = EnvToggle("ACE_TLB", options_.enable_tlb);
 #ifdef ACE_TLB_VERIFY_DEFAULT
   const bool verify_default = true;
 #else
@@ -78,11 +77,7 @@ Machine::Machine(Options options)
   }
   pmap_ = std::make_unique<PmapAce>(options_.config, &phys_, &clocks_, &stats_, &bus_,
                                     active_policy_);
-  if (tlb_on_) {
-    // Every MMU mutation — whichever protocol path drove it — now shoots down the
-    // matching TLB entries before the translation changes.
-    pmap_->mmus().set_shootdown_sink(&tlb_);
-  }
+  mmus_ = &pmap_->mmu(0);
   pool_ = std::make_unique<PagePool>(options_.config.global_pages, pmap_.get());
   if (options_.enable_pager) {
     pager_ = std::make_unique<AcePager>(options_.pager, pmap_.get(), pool_.get(), &clocks_,
@@ -117,14 +112,14 @@ Machine::Machine(Options options)
                                                 &stats_, &bus_, ropt);
     pmap_->manager().set_replica_manager(replica_.get());
     recovery_ = std::make_unique<RecoveryManager>(this);
-    // Batched TLB accounting would complete owned stores without the journal
+    // Batched accounting would complete owned stores without the journal
     // write-through hook; every armed store must take the immediate path.
     RecomputeFastPathMode();
   }
   if (!options_.fault_plan.chaos.empty()) {
     chaos_ = std::make_unique<ChaosController>(options_.fault_plan.chaos, this);
-    // A slow-link window changes reference costs mid-run; cached TLB entry costs
-    // must not batch past the window boundary.
+    // A slow-link window changes reference costs mid-run; the MMU entries' cached
+    // costs must not batch past the window boundary.
     RecomputeFastPathMode();
   }
 }
@@ -171,53 +166,9 @@ AccessStatus Machine::Access(Task& task, ProcId proc, VirtAddr va, AccessKind ki
   FlushRefRun(proc);
   VirtPage vpage = va >> page_shift_;
   for (int attempt = 0; attempt < kMaxFaultRetries; ++attempt) {
-    TranslateResult t = pmap_->Translate(proc, vpage, kind);
-    if (t.ok()) {
-      MemoryClass cls = t.frame.ClassFor(proc);
-      TimeNs cost = options_.config.latency.Cost(cls, kind);
-      if (cls != MemoryClass::kLocal && bus_.options().model_contention) {
-        // Bus contention dilates every transaction that crosses the IPC bus.
-        cost = static_cast<TimeNs>(static_cast<double>(cost) * bus_.DilationFactor());
-      }
-      if (chaos_ != nullptr && cls != MemoryClass::kLocal) {
-        // Slow-link chaos dilates this processor's off-node references in-window.
-        cost = chaos_->AdjustCost(proc, cost);
-      }
-      clocks_.ChargeUser(proc, cost);
-      stats_.RecordRef(proc, cls, kind);
-      LogicalPage lp = kNoLogicalPage;
-      if (tlb_on_ || (obs_ != nullptr && obs_->heat_on()) || replica_ != nullptr) {
-        // The durability subsystem needs the logical page for its store hook even
-        // when both the TLB and heat profiling are off (ACE_TLB=0 equivalence).
-        lp = pmap_->LookupLogicalPage(proc, vpage);
-      }
-      if (obs_ != nullptr && obs_->heat_on() && lp != kNoLogicalPage) {
-        // Recorded at the same point as RecordRef, so the heat profile's aggregate
-        // locality fraction agrees with MeasuredAlpha() exactly.
-        obs_->OnRef(lp, proc, cls, kind);
-      }
-      if (cls != MemoryClass::kLocal) {
-        bus_.RecordTransfer(kWordBytes, clocks_.now(proc));
-      }
-      std::uint32_t offset = static_cast<std::uint32_t>(va & (options_.config.page_size - 1));
-      if (kind == AccessKind::kFetch) {
-        *value = phys_.ReadWord(t.frame, offset);
-      } else {
-        phys_.WriteWord(t.frame, offset, *value);
-        if (replica_ != nullptr && lp != kNoLogicalPage) {
-          // Journal write-through for owned pages (no-op for global-writable ones;
-          // their checksum was invalidated when they entered that state).
-          pmap_->manager().NoteStore(lp, offset, *value, proc, /*charge=*/true);
-        }
-      }
-      if (ref_observer_ != nullptr) {
-        ref_observer_(ref_observer_ctx_, proc, va, kind, cls);
-      }
-      if (tlb_on_) {
-        // Cache the translation with the *full* mapping protection, so a read-then-
-        // write page needs only one refill; subsequent hits skip the resolve above.
-        tlb_.Fill(proc, vpage, t.frame, t.prot, lp, options_.config.latency);
-      }
+    const MmuEntry* e = mmus_[proc].Find(vpage);
+    if (e != nullptr && Allows(e->prot, kind)) {
+      CompleteImmediate(proc, *e, va, kind, value);
       return AccessStatus::kOk;
     }
     // Page fault: trap into the kernel and resolve through the machine-independent VM.
@@ -251,20 +202,22 @@ void Machine::StoreWordSlow(Task& task, ProcId proc, VirtAddr va, std::uint32_t 
   ACE_CHECK_MSG(s == AccessStatus::kOk, "StoreWord failed");
 }
 
-bool Machine::FastAccessImmediate(ProcId proc, const Tlb::Entry& entry, VirtAddr va,
-                                  AccessKind kind, std::uint32_t* value) {
-  // Field-for-field the same accounting sequence as the slow path's hit block, fed
-  // from the cached entry instead of a fresh translate + lookup.
-  TimeNs cost = kind == AccessKind::kFetch ? entry.cost_fetch : entry.cost_store;
+void Machine::CompleteImmediate(ProcId proc, const MmuEntry& entry, VirtAddr va,
+                                AccessKind kind, std::uint32_t* value) {
+  TimeNs cost = entry.Cost(kind);
   if (entry.cls != MemoryClass::kLocal && bus_.options().model_contention) {
+    // Bus contention dilates every transaction that crosses the IPC bus.
     cost = static_cast<TimeNs>(static_cast<double>(cost) * bus_.DilationFactor());
   }
   if (chaos_ != nullptr && entry.cls != MemoryClass::kLocal) {
+    // Slow-link chaos dilates this processor's off-node references in-window.
     cost = chaos_->AdjustCost(proc, cost);
   }
   clocks_.ChargeUser(proc, cost);
   stats_.RecordRef(proc, entry.cls, kind);
   if (obs_ != nullptr && obs_->heat_on() && entry.lp != kNoLogicalPage) {
+    // Recorded at the same point as RecordRef, so the heat profile's aggregate
+    // locality fraction agrees with MeasuredAlpha() exactly.
     obs_->OnRef(entry.lp, proc, entry.cls, kind);
   }
   if (entry.cls != MemoryClass::kLocal) {
@@ -276,27 +229,27 @@ bool Machine::FastAccessImmediate(ProcId proc, const Tlb::Entry& entry, VirtAddr
   } else {
     phys_.WriteWord(entry.frame, offset, *value);
     if (replica_ != nullptr && entry.lp != kNoLogicalPage) {
+      // Journal write-through for owned pages (no-op for global-writable ones;
+      // their checksum was invalidated when they entered that state).
       pmap_->manager().NoteStore(entry.lp, offset, *value, proc, /*charge=*/true);
     }
   }
   if (ref_observer_ != nullptr) {
     ref_observer_(ref_observer_ctx_, proc, va, kind, entry.cls);
   }
-  return true;
 }
 
-void Machine::VerifyTlbEntry(ProcId proc, VirtPage vpage, const Tlb::Entry& entry) {
-  // Any mapping the MMU holds allows fetches (Enter rejects kNone), so probing with
-  // kFetch distinguishes "mapping exists" from "mapping gone" without masking a
-  // protection change — prot itself is compared exactly below.
-  TranslateResult t = pmap_->Translate(proc, vpage, AccessKind::kFetch);
-  ACE_CHECK_MSG(t.ok(), "poisoned TLB entry: MMU no longer maps this page");
-  ACE_CHECK_MSG(t.frame == entry.frame, "poisoned TLB entry: frame changed");
-  ACE_CHECK_MSG(t.prot == entry.prot, "poisoned TLB entry: protection changed");
-  ACE_CHECK_MSG(t.frame.ClassFor(proc) == entry.cls,
-                "poisoned TLB entry: memory class changed");
-  ACE_CHECK_MSG(pmap_->LookupLogicalPage(proc, vpage) == entry.lp,
-                "poisoned TLB entry: logical page changed");
+void Machine::VerifyEntry(ProcId proc, const MmuEntry& entry) {
+  // The entry is the MMU's own translation, so frame and prot are right by
+  // construction; what can go stale is what Enter derived from them.
+  const MemoryClass cls = entry.frame.ClassFor(proc);
+  const LatencyModel& latency = options_.config.latency;
+  ACE_CHECK_MSG(entry.cls == cls, "poisoned MMU entry: memory class disagrees with frame");
+  ACE_CHECK_MSG(entry.cost_fetch == latency.Cost(cls, AccessKind::kFetch) &&
+                    entry.cost_store == latency.Cost(cls, AccessKind::kStore),
+                "poisoned MMU entry: cost disagrees with the latency model");
+  ACE_CHECK_MSG(entry.lp == pmap_->LookupLogicalPage(proc, entry.vpage),
+                "poisoned MMU entry: logical page disagrees with the pmap directory");
 }
 
 void Machine::FlushRefRun(ProcId proc) {
@@ -313,8 +266,7 @@ void Machine::FlushRefRun(ProcId proc) {
   if (run.cls != MemoryClass::kLocal) {
     bus_.RecordTransferBlock(kWordBytes, run.count, clocks_.now(proc));
   }
-  tlb_.global_stats().run_flushes++;
-  tlb_.global_stats().batched_refs += run.count;
+  tlb_.NoteRunCommitted(run.count);
   run.count = 0;
 }
 
@@ -326,7 +278,7 @@ void Machine::FlushPendingRefs() {
 
 void Machine::RecomputeFastPathMode() {
   // A slow-link chaos plan also rules out batching: batched hits charge costs cached
-  // in the TLB entry at fill time, which would carry a pre-window cost across the
+  // in the MMU entry at Enter time, which would carry a pre-window cost across the
   // window boundary (or vice versa). Immediate mode recomputes per reference.
   // An armed durability subsystem rules it out too: batched hits complete stores
   // without the journal write-through hook, so every store must go immediate.
@@ -423,6 +375,14 @@ std::uint32_t Machine::ReexamineGlobalPages(ProcId proc) {
   return count;
 }
 
+TlbStats Machine::tlb_stats() const {
+  TlbStats s = tlb_.stats();
+  for (int p = 0; p < options_.config.num_processors; ++p) {
+    s.shootdown_pages += mmus_[p].invalidations();
+  }
+  return s;
+}
+
 Observability& Machine::observability() {
   if (obs_ == nullptr) {
     obs_ = std::make_unique<Observability>(options_.config.num_processors,
@@ -464,8 +424,8 @@ const NumaPageInfo& Machine::PageInfoFor(Task& task, VirtAddr va) {
 }
 
 void Machine::CaptureLiveSample(LiveSample* out) {
-  // Commit open TLB runs so the counters below include every reference issued so
-  // far. Idempotent and invisible to MachineStats totals (only the tlb group's
+  // Commit open reference runs so the counters below include every reference issued
+  // so far. Idempotent and invisible to MachineStats totals (only the tlb group's
   // run_flushes/batched_refs bookkeeping differs from a lazier flush schedule), so
   // sampling cannot perturb a run's results.
   FlushPendingRefs();
@@ -483,14 +443,9 @@ void Machine::CaptureLiveSample(LiveSample* out) {
 
   out->tlb_hits_by_proc.clear();
   out->tlb_misses_by_proc.clear();
-  if (tlb_on_) {
-    const std::vector<TlbProcCounters>& pc = tlb_.proc_counters();
-    out->tlb_hits_by_proc.reserve(pc.size());
-    out->tlb_misses_by_proc.reserve(pc.size());
-    for (const TlbProcCounters& c : pc) {
-      out->tlb_hits_by_proc.push_back(c.hits);
-      out->tlb_misses_by_proc.push_back(c.misses);
-    }
+  for (const TlbProcCounters& c : tlb_.proc_counters()) {
+    out->tlb_hits_by_proc.push_back(c.hits);
+    out->tlb_misses_by_proc.push_back(c.misses);
   }
 
   out->trace_emitted = 0;

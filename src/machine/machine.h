@@ -124,15 +124,11 @@ class Machine {
     // Owned pages beyond the cap run unreplicated and are lost if their node dies.
     // Ignored on plans without durable chaos — the ReplicaManager is never built.
     std::uint32_t journal_page_cap = 4096;
-    // The software-TLB fast path (src/machine/tlb.h). On by default; results are
-    // byte-identical either way (the differential equivalence suite enforces it), so
-    // turning it off is only useful for that very comparison. The environment
-    // variable ACE_TLB ("0"/"off"/"1"/"on") overrides this at Machine construction,
-    // letting any existing test or tool run both ways unmodified.
-    bool enable_tlb = true;
-    // Cross-check every TLB hit against the MMU and ACE_CHECK-abort on a stale entry
-    // (the debug poison mode). -1 = default: on when the library was built with
-    // ACE_CHECK_INVARIANTS, off otherwise; 0/1 force. ACE_TLB_VERIFY overrides.
+    // Cross-check every fast-path hit's derived fields — memory class, per-kind costs
+    // and logical page — against frame.ClassFor(proc), the latency model and the pmap
+    // directory, and ACE_CHECK-abort on a mismatch (the debug poison mode). -1 =
+    // default: on when the library was built with ACE_CHECK_INVARIANTS, off otherwise;
+    // 0/1 force. The ACE_TLB_VERIFY environment variable overrides.
     int tlb_verify = -1;
   };
 
@@ -149,8 +145,8 @@ class Machine {
   // --- the reference path --------------------------------------------------------------
   // 32-bit load/store as issued by processor `proc`. Aborts (ACE_CHECK) on bad
   // addresses — simulated programs are expected to be correct; use TryAccess for
-  // fault-status tests. Inline: a software-TLB hit completes here without entering
-  // the pmap/NUMA resolve at all.
+  // fault-status tests. Inline: an MMU hit completes here without entering the
+  // pmap/NUMA resolve at all.
   std::uint32_t LoadWord(Task& task, ProcId proc, VirtAddr va) {
     std::uint32_t value = 0;
     if (FastAccess(proc, va, AccessKind::kFetch, &value)) {
@@ -292,19 +288,19 @@ class Machine {
   void RecordAppRetry() { stats_.app_retries += 1; }
   void RecordAppShed() { stats_.app_shed += 1; }
 
-  // The software TLB and its counter group (the `tlb` observability group). The
-  // counters are kept out of MachineStats: they differ between TLB-on and TLB-off
-  // runs by design, while MachineStats must not. By value — the hit/miss totals are
-  // summed from the per-processor counters at read time.
+  // The fast path's bookkeeping and its counter group (the `tlb` observability
+  // group, src/machine/tlb.h). The counters are kept out of MachineStats: they
+  // describe how references were served, not what the simulated machine did. By
+  // value — hit/miss totals are summed from the per-processor counters and
+  // shootdown_pages from the MMUs at read time.
   Tlb& tlb() { return tlb_; }
-  TlbStats tlb_stats() const { return tlb_.stats(); }
-  bool tlb_enabled() const { return tlb_on_; }
+  TlbStats tlb_stats() const;
   bool tlb_verify_enabled() const { return tlb_verify_on_; }
 
   // Fill a live-telemetry capture (src/obs/sampler.h) with the machine's current
   // cumulative state: counters, clocks, per-processor TLB hit/miss, trace-ring
   // pressure, and (when heat profiling is on) per-page reference totals and policy
-  // decisions. Pure observer — commits open TLB runs first (idempotent), reads
+  // decisions. Pure observer — commits open reference runs first (idempotent), reads
   // everything else through const accessors. The static thunk matches
   // LiveSampler::CaptureFn so the sampler can stay machine-independent.
   void CaptureLiveSample(LiveSample* out);
@@ -327,42 +323,42 @@ class Machine {
   LogicalPage ResolveDebugPage(Task& task, VirtAddr va, bool materialize);
 
   // Out-of-line halves of the reference path: the full fault-and-resolve slow path
-  // behind the inline TLB probe in LoadWord/StoreWord.
+  // behind the inline MMU probe in LoadWord/StoreWord.
   std::uint32_t LoadWordSlow(Task& task, ProcId proc, VirtAddr va);
   void StoreWordSlow(Task& task, ProcId proc, VirtAddr va, std::uint32_t value);
 
-  // TLB-hit completion when batching is off (contention model, ref observer, or heat
-  // profiling active): charges and records the reference immediately, mirroring the
-  // slow path's accounting order exactly.
-  bool FastAccessImmediate(ProcId proc, const Tlb::Entry& entry, VirtAddr va,
-                           AccessKind kind, std::uint32_t* value);
-  // Poison mode: cross-check a hitting entry against the MMU and mapping directory;
-  // ACE_CHECK-aborts if the entry is stale in any field.
-  void VerifyTlbEntry(ProcId proc, VirtPage vpage, const Tlb::Entry& entry);
+  // Complete a reference through `entry` with immediate accounting: charges and
+  // records it at once. Used by the slow path after a fault and by fast-path hits
+  // when batching is off (contention model, ref observer, heat profiling, chaos
+  // slow-link or durability active).
+  void CompleteImmediate(ProcId proc, const MmuEntry& entry, VirtAddr va, AccessKind kind,
+                         std::uint32_t* value);
+  // Poison mode: cross-check a hitting entry's derived fields; ACE_CHECK-aborts on a
+  // mismatch.
+  void VerifyEntry(ProcId proc, const MmuEntry& entry);
   // Refresh batchable_/fast_immediate_ from the contention model, ref observer and
   // heat-profiling state (also runs when the observability layer toggles heat).
   void RecomputeFastPathMode();
   // Commit `proc`'s open reference run (no-op when none).
   void FlushRefRun(ProcId proc);
 
-  // The reference fast path: probe the TLB and, on a hit, complete the access without
-  // entering the pmap/NUMA machinery. Returns false on TLB-off, miss, or insufficient
-  // cached protection — the caller then takes the slow path, which faults (or
-  // upgrades) exactly as it would have without a TLB.
+  // The reference fast path: probe `proc`'s MMU and, on a hit, complete the access
+  // without entering the pmap/NUMA machinery. Returns false on no mapping or
+  // insufficient protection — the caller then takes the slow path, which faults.
   bool FastAccess(ProcId proc, VirtAddr va, AccessKind kind, std::uint32_t* value) {
-    if (!tlb_on_) {
+    const MmuEntry* e = mmus_[proc].Find(va >> page_shift_);
+    TlbProcCounters& counters = tlb_.counters(proc);
+    if (e == nullptr || !Allows(e->prot, kind)) {
+      counters.misses++;
       return false;
     }
-    const VirtPage vpage = va >> page_shift_;
-    const Tlb::Entry* e = tlb_.Find(proc, vpage, kind);
-    if (e == nullptr) {
-      return false;
-    }
+    counters.hits++;
     if (tlb_verify_on_) {
-      VerifyTlbEntry(proc, vpage, *e);
+      VerifyEntry(proc, *e);
     }
     if (fast_immediate_) {
-      return FastAccessImmediate(proc, *e, va, kind, value);
+      CompleteImmediate(proc, *e, va, kind, value);
+      return true;
     }
     // Batched run-length accounting: extend (or open) this processor's run. The run
     // key is (vpage, kind); the class cannot change while the entry is live, so the
@@ -377,8 +373,7 @@ class Machine {
       run.cls = e->cls;
     }
     run.count++;
-    clocks_.AccumulateUser(proc,
-                           kind == AccessKind::kFetch ? e->cost_fetch : e->cost_store);
+    clocks_.AccumulateUser(proc, e->Cost(kind));
     const std::uint32_t offset = static_cast<std::uint32_t>(va & page_mask_);
     if (kind == AccessKind::kFetch) {
       *value = phys_.ReadWord(e->frame, offset);
@@ -392,21 +387,18 @@ class Machine {
   std::uint32_t page_shift_;
   std::uint32_t page_mask_;
 
-  // Resolved at construction (Options + ACE_TLB / ACE_TLB_VERIFY environment).
-  bool tlb_on_ = true;
+  // Resolved at construction (Options::tlb_verify + ACE_TLB_VERIFY environment).
   bool tlb_verify_on_ = false;
-  // Whether TLB hits may batch into runs: requires no contention model and no ref
-  // observer. fast_immediate_ is the per-access test (= !batchable_ or heat profiling
-  // on) folded into one machine-local flag so a hit never chases the obs_ pointer.
+  // Whether fast-path hits may batch into runs: requires no contention model and no
+  // ref observer. fast_immediate_ is the per-access test (= !batchable_ or heat
+  // profiling on) folded into one machine-local flag so a hit never chases the obs_
+  // pointer.
   bool batchable_ = true;
   bool fast_immediate_ = false;
 
   MachineStats stats_;
   ProcClocks clocks_;
   IpcBus bus_;
-  // The TLB is the MmuArray's shootdown sink; declared before pmap_/pool_ so it
-  // outlives every teardown path that still mutates MMUs (~Machine drains the pool,
-  // which frees pages and fires shootdowns).
   Tlb tlb_;
   // Declared before every consumer that holds a pointer into it (phys_, pool_, pager_,
   // the NUMA manager) so the injector outlives them all.
@@ -420,6 +412,8 @@ class Machine {
   // valid while the pmap layer tears down (~Machine drains the pool -> ResetPage).
   std::unique_ptr<ReplicaManager> replica_;
   std::unique_ptr<PmapAce> pmap_;
+  // pmap_'s per-processor MMUs, indexed by processor: the fast path's probe target.
+  Mmu* mmus_ = nullptr;
   std::unique_ptr<PagePool> pool_;
   std::unique_ptr<AcePager> pager_;
   std::unique_ptr<FaultHandler> fault_handler_;

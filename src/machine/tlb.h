@@ -1,21 +1,13 @@
-// A per-processor direct-mapped software TLB in front of Machine::Access.
+// Bookkeeping for the reference fast path (Machine::FastAccess).
 //
-// The simulated ACE resolves every reference through the accessing processor's MMU
-// (a hash map) and, on the slow path, the full pmap/NUMA machinery. The Rosetta
-// single-mapping semantics the simulator already enforces make a translation cache
-// sound: each (processor, virtual page) has at most one live translation at a time,
-// and *every* mutation of that translation flows through Mmu::Enter / Remove /
-// Downgrade / RemoveAll (src/mmu/mmu.h). The TLB registers itself as the MmuArray's
-// MmuShootdownSink, so ownership moves, page syncs, replication invalidates, pageout
-// round-trips, CoW shadow breaks, protection changes and fault-injection degrades all
-// shoot down the precise per-processor entries they touch — there is no protocol path
-// that can leave a stale entry behind without bypassing the MMU itself.
-//
-// A hit carries everything the accounting fast path needs — frame, protection,
-// logical page, memory class, and the per-kind reference cost — so a hitting access
-// neither consults the pmap nor recomputes latencies. Invalidation counters live here
-// (the machine exposes them as the `tlb` counter group); they are deliberately *not*
-// part of MachineStats, whose contents must be byte-identical with the TLB on or off.
+// The fast path probes the accessing processor's MMU table directly (src/mmu/mmu.h):
+// a hit carries everything the accounting needs — frame, protection, logical page,
+// memory class and per-kind cost — so it neither consults the pmap nor recomputes
+// latencies, and a miss is a real fault. What is left here is the per-processor
+// state that sits beside the MMU: the probe counters and the open run of batched
+// references. The counters keep the historical `tlb` group name (Machine::tlb_stats,
+// the live feed's tlb_hits/tlb_misses keys) and are deliberately *not* part of
+// MachineStats, which batched and immediate accounting must leave byte-identical.
 
 #ifndef SRC_MACHINE_TLB_H_
 #define SRC_MACHINE_TLB_H_
@@ -24,182 +16,78 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/protection.h"
 #include "src/common/types.h"
-#include "src/mmu/mmu.h"
-#include "src/sim/frame.h"
-#include "src/sim/machine_config.h"
 
 namespace ace {
 
-// Counters for the `tlb` observability group. Deterministic for a given run
-// configuration (the soak harness checks replay identity on them), but naturally
-// different between TLB-on and TLB-off runs — equivalence suites must exclude them.
-// `hits` and `misses` are aggregated from the per-processor counters below at read
-// time; the probe path pays exactly one increment either way.
+// Counters for the `tlb` observability group, deterministic for a given run
+// configuration (the soak harness checks replay identity on them). `hits` and
+// `misses` are aggregated from the per-processor counters below at read time; the
+// probe path pays exactly one increment either way.
 struct TlbStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;            // no entry, wrong tag, or insufficient protection
-  std::uint64_t fills = 0;             // slow-path refills
-  std::uint64_t conflict_evictions = 0;  // fill displaced a different page's entry
-  std::uint64_t shootdown_pages = 0;   // precise per-(proc, vpage) invalidations
-  std::uint64_t shootdown_hits = 0;    // ... of which actually dropped a live entry
-  std::uint64_t proc_flushes = 0;      // whole-processor invalidations
-  std::uint64_t run_flushes = 0;       // batched accounting runs committed
-  std::uint64_t batched_refs = 0;      // references charged through batched runs
+  std::uint64_t hits = 0;             // fast-path probes that completed the access
+  std::uint64_t misses = 0;           // probes that faulted: no mapping or too little prot
+  std::uint64_t shootdown_pages = 0;  // per-page MMU invalidations (src/mmu/mmu.h)
+  std::uint64_t run_flushes = 0;      // batched accounting runs committed
+  std::uint64_t batched_refs = 0;     // references charged through batched runs
 };
 
 // Per-processor probe counters — the live feed's "per-processor TLB hit/miss rate"
-// source (src/obs/sampler.h). Kept separate from TlbStats so the hot-path probe
-// stays at one indexed increment; TlbStats sums them on demand.
+// source (src/obs/sampler.h).
 struct TlbProcCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 };
 
-class Tlb final : public MmuShootdownSink {
+class Tlb {
  public:
-  // One cached translation. `cls` and the two costs are derived from `frame` and the
-  // machine's latency model at fill time; they can never go stale while the entry is
-  // live because a frame change requires an Mmu::Enter, which shoots the entry down.
-  struct Entry {
-    VirtPage vpage = kInvalidVPage;
-    FrameRef frame;
-    LogicalPage lp = kNoLogicalPage;
-    Protection prot = Protection::kNone;
-    MemoryClass cls = MemoryClass::kGlobal;
-    TimeNs cost_fetch = 0;
-    TimeNs cost_store = 0;
-  };
-
   // An open run of consecutive same-page, same-kind references by one processor,
   // pending commit to MachineStats / IpcBus (batched run-length accounting).
   struct Run {
     std::uint64_t count = 0;
-    VirtPage vpage = kInvalidVPage;
+    VirtPage vpage = 0;
     AccessKind kind = AccessKind::kFetch;
     MemoryClass cls = MemoryClass::kLocal;
   };
 
-  Tlb(int num_processors, std::uint32_t entries_per_proc)
-      : entries_mask_(entries_per_proc - 1),
-        shift_(IndexBits(entries_per_proc)),
-        slots_(static_cast<std::size_t>(num_processors) * entries_per_proc),
-        runs_(static_cast<std::size_t>(num_processors)),
+  explicit Tlb(int num_processors)
+      : runs_(static_cast<std::size_t>(num_processors)),
         proc_counters_(static_cast<std::size_t>(num_processors)) {
     ACE_CHECK(num_processors >= 1);
-    ACE_CHECK(entries_per_proc >= 2 &&
-              (entries_per_proc & (entries_per_proc - 1)) == 0);
   }
 
   Tlb(const Tlb&) = delete;
   Tlb& operator=(const Tlb&) = delete;
 
-  // Direct-mapped probe. Returns the hitting entry, or nullptr on a tag mismatch or
-  // when the cached protection does not allow `kind` (the slow path decides whether
-  // that is a protection fault or an upgrade).
-  const Entry* Find(ProcId proc, VirtPage vpage, AccessKind kind) {
-    Entry& e = slots_[SlotIndex(proc, vpage)];
-    if (e.vpage != vpage || !Allows(e.prot, kind)) {
-      proc_counters_[static_cast<std::size_t>(proc)].misses++;
-      return nullptr;
-    }
-    proc_counters_[static_cast<std::size_t>(proc)].hits++;
-    return &e;
-  }
-
-  // Probe without counters or side effects (tests, the poison cross-check).
-  const Entry* Peek(ProcId proc, VirtPage vpage) const {
-    const Entry& e = slots_[SlotIndex(proc, vpage)];
-    return e.vpage == vpage ? &e : nullptr;
-  }
-
-  // Install a translation after a successful slow-path resolve.
-  void Fill(ProcId proc, VirtPage vpage, FrameRef frame, Protection prot, LogicalPage lp,
-            const LatencyModel& latency) {
-    Entry& e = slots_[SlotIndex(proc, vpage)];
-    if (e.vpage != kInvalidVPage && e.vpage != vpage) {
-      global_.conflict_evictions++;
-    }
-    e.vpage = vpage;
-    e.frame = frame;
-    e.lp = lp;
-    e.prot = prot;
-    e.cls = frame.ClassFor(proc);
-    e.cost_fetch = latency.Cost(e.cls, AccessKind::kFetch);
-    e.cost_store = latency.Cost(e.cls, AccessKind::kStore);
-    global_.fills++;
-  }
-
   Run& run(ProcId proc) { return runs_[static_cast<std::size_t>(proc)]; }
+  TlbProcCounters& counters(ProcId proc) {
+    return proc_counters_[static_cast<std::size_t>(proc)];
+  }
+  const std::vector<TlbProcCounters>& proc_counters() const { return proc_counters_; }
 
-  // --- MmuShootdownSink ----------------------------------------------------------------
-  void ShootdownPage(ProcId proc, VirtPage vpage) override {
-    global_.shootdown_pages++;
-    Entry& e = slots_[SlotIndex(proc, vpage)];
-    if (e.vpage == vpage) {
-      e.vpage = kInvalidVPage;
-      global_.shootdown_hits++;
-    }
+  void NoteRunCommitted(std::uint64_t refs) {
+    run_flushes_++;
+    batched_refs_ += refs;
   }
 
-  void ShootdownProc(ProcId proc) override {
-    global_.proc_flushes++;
-    std::size_t base = static_cast<std::size_t>(proc) << shift_;
-    for (std::size_t i = 0; i <= entries_mask_; ++i) {
-      slots_[base + i].vpage = kInvalidVPage;
-    }
-  }
-
-  void InvalidateAll() {
-    for (std::size_t p = 0; p < runs_.size(); ++p) {
-      ShootdownProc(static_cast<ProcId>(p));
-    }
-  }
-
-  // Aggregate snapshot of the counter group: the global counters plus the summed
-  // per-processor probe counters. By value — the hit/miss totals are materialized
-  // at read time, never stored.
+  // The group without shootdown_pages, which the MMUs count (Machine::tlb_stats adds
+  // them). By value — the hit/miss totals are materialized at read time.
   TlbStats stats() const {
-    TlbStats s = global_;
+    TlbStats s;
     for (const TlbProcCounters& c : proc_counters_) {
       s.hits += c.hits;
       s.misses += c.misses;
     }
+    s.run_flushes = run_flushes_;
+    s.batched_refs = batched_refs_;
     return s;
-  }
-  // The counters not split per processor (fills, shootdowns, batching), mutable for
-  // the machine's run-commit path.
-  TlbStats& global_stats() { return global_; }
-  const std::vector<TlbProcCounters>& proc_counters() const { return proc_counters_; }
-  std::uint32_t entries_per_proc() const {
-    return static_cast<std::uint32_t>(entries_mask_ + 1);
   }
 
  private:
-  // Never a real virtual page: tasks place regions far below 2^64 - 1.
-  static constexpr VirtPage kInvalidVPage = ~VirtPage{0};
-
-  static std::uint32_t IndexBits(std::uint32_t entries) {
-    std::uint32_t bits = 0;
-    while ((std::uint32_t{1} << bits) < entries) {
-      ++bits;
-    }
-    return bits;
-  }
-
-  std::size_t SlotIndex(ProcId proc, VirtPage vpage) const {
-    ACE_DCHECK(static_cast<std::size_t>(proc) < runs_.size());
-    return (static_cast<std::size_t>(proc) << shift_) +
-           (static_cast<std::size_t>(vpage) & entries_mask_);
-  }
-
-  std::size_t entries_mask_;
-  std::uint32_t shift_;
-  std::vector<Entry> slots_;
   std::vector<Run> runs_;
-  TlbStats global_;  // everything except hits/misses, which live per processor
   std::vector<TlbProcCounters> proc_counters_;
+  std::uint64_t run_flushes_ = 0;
+  std::uint64_t batched_refs_ = 0;
 };
 
 }  // namespace ace

@@ -26,7 +26,6 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
   mo.bus.model_contention = options.bus_contention;
   mo.fault_plan = options.fault_plan;
   mo.fault_seed = options.fault_seed;
-  mo.enable_tlb = options.enable_tlb;
   mo.tlb_verify = options.tlb_verify;
   Machine machine(mo);
   if (options.watchdog.enabled()) {
@@ -56,7 +55,6 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
     meta.page_size = mo.config.page_size;
     meta.seed = options.fault_seed;
     meta.fault_plan = options.fault_plan.Format();
-    meta.tlb = machine.tlb_enabled();
     meta.tag = options.live_tag;
     options.sampler->BeginRun(std::move(meta));
     cfg.runtime.sampler = options.sampler;
@@ -84,11 +82,6 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
   run.stats = machine.stats();
   run.measured_alpha = machine.stats().MeasuredAlpha();
   run.pages_pinned = machine.stats().pages_pinned;
-  const TlbStats& tlb = machine.tlb_stats();
-  run.tlb_hits = tlb.hits;
-  run.tlb_fills = tlb.fills;
-  run.tlb_shootdown_pages = tlb.shootdown_pages;
-  run.tlb_batched_refs = tlb.batched_refs;
   return run;
 }
 

@@ -11,7 +11,7 @@
 //   gl         4 apps x G/L ratios {1.2,1.5,2,3,4}                    (sec. 4.4)
 //   smoke      reduced-scale sample of all of the above, CI-sized
 //   full       union of table3 + threshold + gl, deduplicated by key
-//   refs       host refs/sec of the streaming apps, software TLB on vs off
+//   refs       host refs/sec of the streaming apps
 //              (the fast-path perf gate; cell.h CellMode::kRefsPerSec)
 
 #ifndef SRC_METRICS_SWEEP_MATRIX_H_

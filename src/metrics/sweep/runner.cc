@@ -42,15 +42,6 @@ void AppendRunCounters(const char* prefix, const PlacementRun& run,
                        static_cast<double>(s.local_alloc_failures));
 }
 
-// Equality of two placement runs: the differential guarantee that the software-TLB
-// fast path changed nothing observable. Compares the virtual times and every
-// MachineStats counter, the full per-processor reference matrix included.
-bool RunsIdentical(const PlacementRun& a, const PlacementRun& b) {
-  return a.user_sec == b.user_sec && a.system_sec == b.system_sec &&
-         a.measured_alpha == b.measured_alpha && a.pages_pinned == b.pages_pinned &&
-         a.stats == b.stats;
-}
-
 // One counter group as cell metrics, named by field and prefixed per placement run.
 void AppendCounterGroup(const char* prefix, std::span<const StatsCounter> group,
                         const MachineStats& s,
@@ -122,42 +113,25 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     // (experiment.h). ACE_TLB_VERIFY=1 in the environment still wins.
     options.tlb_verify = 0;
 
-    // Host wall time around each placement run. The interval includes machine
-    // construction (milliseconds) — negligible at these scales, and the same for
-    // both runs, so the speedup ratio is unaffected.
+    // Host wall time around the placement run. The interval includes machine
+    // construction (milliseconds) — negligible at these scales.
     auto t0 = std::chrono::steady_clock::now();
-    PlacementRun on = RunPlacement(*app, options, policy, cell.threads, cell.threads);
+    PlacementRun run = RunPlacement(*app, options, policy, cell.threads, cell.threads);
     auto t1 = std::chrono::steady_clock::now();
-    options.enable_tlb = false;
-    PlacementRun off = RunPlacement(*app, options, policy, cell.threads, cell.threads);
-    auto t2 = std::chrono::steady_clock::now();
 
-    double wall_on = std::chrono::duration<double>(t1 - t0).count();
-    double wall_off = std::chrono::duration<double>(t2 - t1).count();
-    auto refs = static_cast<double>(on.stats.TotalRefs().Total());
+    double wall = std::chrono::duration<double>(t1 - t0).count();
+    auto refs = static_cast<double>(run.stats.TotalRefs().Total());
 
-    result.ok = on.app.ok && off.app.ok;
-    result.detail = on.app.detail;
+    result.ok = run.app.ok;
+    result.detail = run.app.detail;
     // Exact-gated (deterministic, virtual-time / counter) metrics first.
     result.metrics.emplace_back("refs", refs);
-    result.metrics.emplace_back("t_numa", on.user_sec);
-    result.metrics.emplace_back("s_numa", on.system_sec);
-    result.metrics.emplace_back("measured_alpha", on.measured_alpha);
-    AppendRunCounters("", on, result.metrics);
-    result.metrics.emplace_back("tlb_hits", static_cast<double>(on.tlb_hits));
-    result.metrics.emplace_back("tlb_fills", static_cast<double>(on.tlb_fills));
-    result.metrics.emplace_back("tlb_shootdown_pages",
-                                static_cast<double>(on.tlb_shootdown_pages));
-    result.metrics.emplace_back("tlb_batched_refs",
-                                static_cast<double>(on.tlb_batched_refs));
-    // The differential guarantee, enforced inside the perf gate as well: 1 when the
-    // TLB-on and TLB-off runs were indistinguishable in every virtual-time metric.
-    result.metrics.emplace_back("tlb_identical", RunsIdentical(on, off) ? 1.0 : 0.0);
-    // Floor-gated host throughput metrics (baseline.h "floors").
-    result.metrics.emplace_back("refs_per_sec", wall_on > 0.0 ? refs / wall_on : 0.0);
-    result.metrics.emplace_back("refs_per_sec_no_tlb",
-                                wall_off > 0.0 ? refs / wall_off : 0.0);
-    result.metrics.emplace_back("tlb_speedup", wall_on > 0.0 ? wall_off / wall_on : 0.0);
+    result.metrics.emplace_back("t_numa", run.user_sec);
+    result.metrics.emplace_back("s_numa", run.system_sec);
+    result.metrics.emplace_back("measured_alpha", run.measured_alpha);
+    AppendRunCounters("", run, result.metrics);
+    // Floor-gated host throughput (baseline.h "floors").
+    result.metrics.emplace_back("refs_per_sec", wall > 0.0 ? refs / wall : 0.0);
     return result;
   }
 

@@ -11,39 +11,30 @@
 //  * Rosetta allows only a single virtual address per physical page per processor
 //    (sections 2.1, 2.3.1). When enabled, entering a second virtual mapping for a
 //    frame silently displaces the first, producing a later refault.
+//
+// The translation state is a flat open-addressed table per processor, indexed by
+// `vpage & mask` with linear probing, so an uncollided lookup is one load and one tag
+// compare. Each entry also carries what the reference path derives from the mapping
+// — logical page, memory class and per-kind cost — filled once at Enter. The machine's
+// fast path (Machine::FastAccess) probes this table directly: there is no second
+// translation cache to keep coherent, and every protocol invalidation is simply the
+// MMU mutation that drops or tightens the entry.
 
 #ifndef SRC_MMU_MMU_H_
 #define SRC_MMU_MMU_H_
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/protection.h"
 #include "src/common/types.h"
 #include "src/sim/frame.h"
+#include "src/sim/machine_config.h"
 
 namespace ace {
-
-// Sink for MMU shootdown notifications (implemented by the software TLB,
-// src/machine/tlb.h). Every mutation of a processor's translation state — enter,
-// displacement, removal, protection downgrade, wholesale clear — notifies the sink
-// *before* the MMU changes, so a translation cache can never hold an entry the MMU no
-// longer backs. Hooking at this choke point (rather than at each NUMA-protocol call
-// site) makes invalidation structural: ownership moves, page syncs, replication
-// invalidates, pageout, CoW shadow breaks and fault-injection degrades all reach the
-// MMU through these mutators, and therefore all shoot down precisely.
-class MmuShootdownSink {
- public:
-  // A single (processor, virtual page) translation changed or died.
-  virtual void ShootdownPage(ProcId proc, VirtPage vpage) = 0;
-  // Processor `proc` dropped its entire translation state.
-  virtual void ShootdownProc(ProcId proc) = 0;
-
- protected:
-  ~MmuShootdownSink() = default;
-};
 
 enum class FaultKind : std::uint8_t {
   kNone = 0,
@@ -59,26 +50,69 @@ struct TranslateResult {
   bool ok() const { return fault == FaultKind::kNone; }
 };
 
+// One live translation. `cls` and the two costs are derived from `frame` and the
+// latency model at Enter; `lp` is the logical page the pmap entered (kNoLogicalPage
+// when the caller did not say). A frame change is always a new Enter, so the derived
+// fields can never disagree with the frame while the entry is live.
+struct MmuEntry {
+  VirtPage vpage = 0;
+  FrameRef frame;
+  LogicalPage lp = kNoLogicalPage;
+  Protection prot = Protection::kNone;
+  MemoryClass cls = MemoryClass::kGlobal;
+  TimeNs cost_fetch = 0;
+  TimeNs cost_store = 0;
+
+  TimeNs Cost(AccessKind kind) const {
+    return kind == AccessKind::kFetch ? cost_fetch : cost_store;
+  }
+};
+
 // One processor's MMU.
 class Mmu {
  public:
-  explicit Mmu(ProcId proc, bool rosetta_single_mapping)
-      : proc_(proc), rosetta_single_mapping_(rosetta_single_mapping) {}
+  // Never a real virtual page (tasks place regions far below 2^64 - 1): marks a free
+  // slot.
+  static constexpr VirtPage kEmptySlot = ~VirtPage{0};
+  static constexpr std::size_t kInitialSlots = 1024;
+
+  explicit Mmu(ProcId proc, bool rosetta_single_mapping,
+               const LatencyModel& latency = LatencyModel{})
+      : proc_(proc),
+        rosetta_single_mapping_(rosetta_single_mapping),
+        latency_(latency),
+        mask_(kInitialSlots - 1),
+        slots_(kInitialSlots, EmptyEntry()) {}
 
   ProcId proc() const { return proc_; }
+
+  // The live entry for `vpage`, or nullptr. No side effects; the pointer is valid until
+  // the next mutation of this MMU.
+  const MmuEntry* Find(VirtPage vpage) const {
+    std::size_t i = static_cast<std::size_t>(vpage) & mask_;
+    for (;;) {
+      const MmuEntry& e = slots_[i];
+      if (e.vpage == vpage) {
+        return &e;
+      }
+      if (e.vpage == kEmptySlot) {
+        return nullptr;
+      }
+      i = (i + 1) & mask_;
+    }
+  }
 
   // Translate an access; no side effects on success. On a fault the caller invokes the
   // VM fault handler and retries.
   TranslateResult Translate(VirtPage vpage, AccessKind kind) const {
-    auto it = mappings_.find(vpage);
-    if (it == mappings_.end()) {
+    const MmuEntry* e = Find(vpage);
+    if (e == nullptr) {
       return TranslateResult{FaultKind::kNoMapping, FrameRef::Invalid(), Protection::kNone};
     }
-    const Entry& e = it->second;
-    if (!Allows(e.prot, kind)) {
-      return TranslateResult{FaultKind::kProtection, e.frame, e.prot};
+    if (!Allows(e->prot, kind)) {
+      return TranslateResult{FaultKind::kProtection, e->frame, e->prot};
     }
-    return TranslateResult{FaultKind::kNone, e.frame, e.prot};
+    return TranslateResult{FaultKind::kNone, e->frame, e->prot};
   }
 
   // Install (or replace) a mapping. Returns the virtual page whose mapping was
@@ -89,33 +123,46 @@ class Mmu {
     bool displaced = false;
     VirtPage displaced_vpage = 0;
   };
-  EnterResult Enter(VirtPage vpage, FrameRef frame, Protection prot) {
+  EnterResult Enter(VirtPage vpage, FrameRef frame, Protection prot,
+                    LogicalPage lp = kNoLogicalPage) {
     ACE_CHECK(frame.valid());
     ACE_CHECK(prot != Protection::kNone);
-    // The entered page's old translation (if any) is replaced below; either way any
-    // cached copy is stale the moment this returns.
-    Shootdown(vpage);
+    ACE_CHECK(vpage != kEmptySlot);
     EnterResult result;
     if (rosetta_single_mapping_) {
       auto rit = frame_to_vpage_.find(frame);
       if (rit != frame_to_vpage_.end() && rit->second != vpage) {
         result.displaced = true;
         result.displaced_vpage = rit->second;
-        Shootdown(rit->second);
-        mappings_.erase(rit->second);
+        Erase(FindSlot(rit->second));
         frame_to_vpage_.erase(rit);
       }
     }
-    // Replacing vpage's previous mapping (possibly to a different frame) is fine; drop
-    // the stale reverse entry if any.
-    auto old = mappings_.find(vpage);
-    if (old != mappings_.end() && !(old->second.frame == frame)) {
-      auto rit = frame_to_vpage_.find(old->second.frame);
-      if (rit != frame_to_vpage_.end() && rit->second == vpage) {
-        frame_to_vpage_.erase(rit);
+    MmuEntry* e = FindSlot(vpage);
+    if (e->vpage == vpage) {
+      // Replacing vpage's previous mapping (possibly to a different frame) is fine;
+      // drop the stale reverse entry if any.
+      invalidations_++;
+      if (!(e->frame == frame)) {
+        auto rit = frame_to_vpage_.find(e->frame);
+        if (rit != frame_to_vpage_.end() && rit->second == vpage) {
+          frame_to_vpage_.erase(rit);
+        }
       }
+    } else {
+      if (2 * (count_ + 1) > slots_.size()) {
+        Grow();
+        e = FindSlot(vpage);
+      }
+      count_++;
     }
-    mappings_[vpage] = Entry{frame, prot};
+    e->vpage = vpage;
+    e->frame = frame;
+    e->lp = lp;
+    e->prot = prot;
+    e->cls = frame.ClassFor(proc_);
+    e->cost_fetch = latency_.Cost(e->cls, AccessKind::kFetch);
+    e->cost_store = latency_.Cost(e->cls, AccessKind::kStore);
     if (rosetta_single_mapping_) {
       frame_to_vpage_[frame] = vpage;
     }
@@ -124,84 +171,125 @@ class Mmu {
 
   // Drop a mapping if present. Returns true if a mapping existed.
   bool Remove(VirtPage vpage) {
-    auto it = mappings_.find(vpage);
-    if (it == mappings_.end()) {
+    MmuEntry* e = FindSlot(vpage);
+    if (e->vpage != vpage) {
       return false;
     }
-    Shootdown(vpage);
     if (rosetta_single_mapping_) {
-      auto rit = frame_to_vpage_.find(it->second.frame);
+      auto rit = frame_to_vpage_.find(e->frame);
       if (rit != frame_to_vpage_.end() && rit->second == vpage) {
         frame_to_vpage_.erase(rit);
       }
     }
-    mappings_.erase(it);
+    Erase(e);
     return true;
   }
 
   // Reduce the protection on an existing mapping (no-op if absent or already at most
   // `prot`). Tightening only: the MMU never silently grants more access.
   void Downgrade(VirtPage vpage, Protection prot) {
-    auto it = mappings_.find(vpage);
-    if (it == mappings_.end()) {
+    MmuEntry* e = FindSlot(vpage);
+    if (e->vpage != vpage) {
       return;
     }
-    if (!ProtLeq(it->second.prot, prot)) {
-      Shootdown(vpage);
-      it->second.prot = prot;
+    if (!ProtLeq(e->prot, prot)) {
+      invalidations_++;
+      e->prot = prot;
     }
   }
 
-  bool HasMapping(VirtPage vpage) const { return mappings_.contains(vpage); }
+  bool HasMapping(VirtPage vpage) const { return Find(vpage) != nullptr; }
 
-  std::size_t MappingCount() const { return mappings_.size(); }
+  std::size_t MappingCount() const { return count_; }
 
   // Visit every mapping as fn(vpage, frame, prot); used by invariant checkers.
   template <typename Fn>
   void ForEachMapping(Fn&& fn) const {
-    for (const auto& [vpage, entry] : mappings_) {
-      fn(vpage, entry.frame, entry.prot);
+    for (const MmuEntry& e : slots_) {
+      if (e.vpage != kEmptySlot) {
+        fn(e.vpage, e.frame, e.prot);
+      }
     }
   }
 
   void RemoveAll() {
-    if (shootdown_sink_ != nullptr && !mappings_.empty()) {
-      shootdown_sink_->ShootdownProc(proc_);
+    invalidations_ += count_;
+    for (MmuEntry& e : slots_) {
+      e.vpage = kEmptySlot;
     }
-    mappings_.clear();
+    count_ = 0;
     frame_to_vpage_.clear();
   }
 
-  // Attach a translation-cache shootdown sink (nullptr detaches; the default). Must
-  // not change while mappings exist — the sink would miss their history.
-  void set_shootdown_sink(MmuShootdownSink* sink) { shootdown_sink_ = sink; }
+  // Per-page invalidations so far: each Enter over a live mapping, displacement,
+  // Remove of a live mapping, tightening Downgrade, and mapping dropped by RemoveAll.
+  std::uint64_t invalidations() const { return invalidations_; }
 
  private:
-  struct Entry {
-    FrameRef frame;
-    Protection prot = Protection::kNone;
-  };
+  static MmuEntry EmptyEntry() {
+    MmuEntry e;
+    e.vpage = kEmptySlot;
+    return e;
+  }
 
-  void Shootdown(VirtPage vpage) {
-    if (shootdown_sink_ != nullptr) {
-      shootdown_sink_->ShootdownPage(proc_, vpage);
+  // The slot holding `vpage`, or the empty slot that ends its probe sequence.
+  MmuEntry* FindSlot(VirtPage vpage) {
+    std::size_t i = static_cast<std::size_t>(vpage) & mask_;
+    while (slots_[i].vpage != vpage && slots_[i].vpage != kEmptySlot) {
+      i = (i + 1) & mask_;
+    }
+    return &slots_[i];
+  }
+
+  // Remove the live entry `e` by backward-shift deletion, so probe sequences never
+  // need tombstones.
+  void Erase(MmuEntry* e) {
+    ACE_DCHECK(e->vpage != kEmptySlot);
+    std::size_t hole = static_cast<std::size_t>(e - slots_.data());
+    for (std::size_t j = (hole + 1) & mask_; slots_[j].vpage != kEmptySlot;
+         j = (j + 1) & mask_) {
+      // An entry may fill the hole only if its home slot does not lie cyclically in
+      // (hole, j] — otherwise moving it would break its own probe sequence.
+      const std::size_t home = static_cast<std::size_t>(slots_[j].vpage) & mask_;
+      if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole].vpage = kEmptySlot;
+    count_--;
+    invalidations_++;
+  }
+
+  void Grow() {
+    std::vector<MmuEntry> old =
+        std::exchange(slots_, std::vector<MmuEntry>(slots_.size() * 2, EmptyEntry()));
+    mask_ = slots_.size() - 1;
+    for (const MmuEntry& e : old) {
+      if (e.vpage != kEmptySlot) {
+        *FindSlot(e.vpage) = e;
+      }
     }
   }
 
   ProcId proc_;
   bool rosetta_single_mapping_;
-  MmuShootdownSink* shootdown_sink_ = nullptr;
-  std::unordered_map<VirtPage, Entry> mappings_;
+  LatencyModel latency_;
+  std::size_t mask_;
+  std::size_t count_ = 0;
+  std::uint64_t invalidations_ = 0;
+  std::vector<MmuEntry> slots_;
   std::unordered_map<FrameRef, VirtPage, FrameRefHash> frame_to_vpage_;
 };
 
 // The set of MMUs in the machine, one per processor.
 class MmuArray {
  public:
-  MmuArray(int num_processors, bool rosetta_single_mapping) {
+  MmuArray(int num_processors, bool rosetta_single_mapping,
+           const LatencyModel& latency = LatencyModel{}) {
     mmus_.reserve(static_cast<std::size_t>(num_processors));
     for (int p = 0; p < num_processors; ++p) {
-      mmus_.emplace_back(static_cast<ProcId>(p), rosetta_single_mapping);
+      mmus_.emplace_back(static_cast<ProcId>(p), rosetta_single_mapping, latency);
     }
   }
 
@@ -215,13 +303,6 @@ class MmuArray {
   }
 
   int num_processors() const { return static_cast<int>(mmus_.size()); }
-
-  // Attach one shootdown sink to every MMU in the array.
-  void set_shootdown_sink(MmuShootdownSink* sink) {
-    for (Mmu& mmu : mmus_) {
-      mmu.set_shootdown_sink(sink);
-    }
-  }
 
  private:
   std::vector<Mmu> mmus_;

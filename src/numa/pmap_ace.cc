@@ -8,7 +8,7 @@ namespace ace {
 
 PmapAce::PmapAce(const MachineConfig& config, PhysicalMemory* phys, ProcClocks* clocks,
                  MachineStats* stats, IpcBus* bus, NumaPolicy* policy)
-    : mmus_(config.num_processors, config.rosetta_single_mapping),
+    : mmus_(config.num_processors, config.rosetta_single_mapping, config.latency),
       manager_(config, phys, clocks, stats, bus, policy, this),
       stats_(stats),
       num_processors_(config.num_processors),
@@ -63,7 +63,7 @@ void PmapAce::Enter(PmapHandle pmap, VirtPage vpage, LogicalPage lp, Protection 
   ACE_CHECK(res.frame.valid());
   ACE_CHECK(Allows(res.prot, kind));
 
-  Mmu::EnterResult er = mmus_.At(proc).Enter(vpage, res.frame, res.prot);
+  Mmu::EnterResult er = mmus_.At(proc).Enter(vpage, res.frame, res.prot, lp);
   calls_.mmu_enters++;
   if (er.displaced) {
     // Rosetta allowed only one virtual address per physical page per processor; the

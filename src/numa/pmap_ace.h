@@ -85,9 +85,9 @@ class PmapAce : public PmapSystem, public MappingControl {
   NumaManager& manager() { return manager_; }
   const NumaManager& manager() const { return manager_; }
 
-  // The logical page `proc` currently maps at `vpage`, or kNoLogicalPage. Used by the
-  // observability layer to attribute memory references to logical pages; reads the
-  // mapping directory, no MMU interaction, no clock charges.
+  // The logical page `proc` currently maps at `vpage`, or kNoLogicalPage, read from the
+  // mapping directory (no MMU interaction, no clock charges). The reference path reads
+  // the copy Enter stored in the MMU entry; the verify cross-check compares the two.
   LogicalPage LookupLogicalPage(ProcId proc, VirtPage vpage) const {
     const auto& vmap = proc_vmap_[static_cast<std::size_t>(proc)];
     auto it = vmap.find(vpage);
@@ -95,9 +95,6 @@ class PmapAce : public PmapSystem, public MappingControl {
   }
   Mmu& mmu(ProcId proc) { return mmus_.At(proc); }
   const Mmu& mmu(ProcId proc) const { return mmus_.At(proc); }
-  // The full MMU array; the machine attaches the software TLB's shootdown sink here so
-  // every translation mutation — whichever protocol path drove it — invalidates.
-  MmuArray& mmus() { return mmus_; }
 
   // Processor charged for VM-initiated work (free sync, page copies); set by the
   // machine before entering VM code on behalf of a processor.

@@ -87,7 +87,6 @@ void LiveFeedState::Apply(const JsonValue& rec) {
     meta.page_size = static_cast<std::uint32_t>(rec.NumberOr("page_size", 0));
     meta.seed = static_cast<std::uint64_t>(rec.NumberOr("seed", 0));
     meta.fault_plan = rec.StringOr("fault_plan", "");
-    meta.tlb = rec.NumberOr("tlb", 0) != 0;
     meta.sample_interval_ns = static_cast<std::int64_t>(rec.NumberOr("sample_interval_ns", 0));
     meta.tag = rec.StringOr("tag", "");
     totals.fill(0);

@@ -74,7 +74,6 @@ struct LiveRunMeta {
   std::uint32_t page_size = 0;
   std::uint64_t seed = 0;
   std::string fault_plan;
-  bool tlb = false;
   std::int64_t sample_interval_ns = 0;
   std::string tag;         // free-form run label (bench cell id, soak seed, ...)
 };

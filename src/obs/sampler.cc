@@ -102,7 +102,6 @@ void LiveSampler::BeginRun(LiveRunMeta meta) {
     AppendU64(&line, "page_size", meta_.page_size);
     AppendU64(&line, "seed", meta_.seed);
     AppendStr(&line, "fault_plan", meta_.fault_plan);
-    AppendU64(&line, "tlb", meta_.tlb ? 1 : 0);
     AppendI64(&line, "sample_interval_ns", meta_.sample_interval_ns);
     AppendStr(&line, "tag", meta_.tag);
     line += "}";

@@ -9,7 +9,7 @@
 // through the durable stream writer (src/obs/live_stream.h).
 //
 // Sampling is a pure observer: the capture source reads counters through the same
-// accessors every report already uses (Machine::stats() commits open TLB runs, which
+// accessors every report already uses (Machine::stats() commits open reference runs, which
 // is idempotent and changes no MachineStats value, clock, or application result —
 // the determinism test in tests/live_sampler_test.cc proves a sampled run
 // byte-identical to an unsampled one). The layering follows the repo's
@@ -43,7 +43,7 @@ struct LiveSample {
   TimeNs user_ns = 0;                 // ProcClocks::TotalUser
   TimeNs system_ns = 0;               // ProcClocks::TotalSystem
   TimeNs max_clock_ns = 0;            // max per-processor virtual clock
-  // Per-processor software-TLB hit/miss counters (empty when the TLB is off).
+  // Per-processor MMU fast-path hit/miss counters (the `tlb` group).
   std::vector<std::uint64_t> tlb_hits_by_proc;
   std::vector<std::uint64_t> tlb_misses_by_proc;
   // Trace-ring pressure (0/0 when tracing is not configured). `trace_dropped`

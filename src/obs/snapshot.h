@@ -45,23 +45,19 @@ inline std::string FormatProtocolCounters(const MachineStats& s) {
   return buf;
 }
 
-// One-line summary of the software-TLB fast-path counters (machine/tlb.h), the
-// "tlb" counter group. Takes plain integers so obs stays independent of the machine
-// layer; ace_run and the TLB tests feed it from Machine::tlb_stats().
+// One-line summary of the MMU fast-path counters (machine/tlb.h), the "tlb" counter
+// group. Takes plain integers so obs stays independent of the machine layer;
+// ace_run and the fast-path tests feed it from Machine::tlb_stats().
 inline std::string FormatTlbCounters(std::uint64_t hits, std::uint64_t misses,
-                                     std::uint64_t fills, std::uint64_t conflict_evictions,
-                                     std::uint64_t shootdown_pages,
-                                     std::uint64_t shootdown_hits, std::uint64_t run_flushes,
+                                     std::uint64_t shootdown_pages, std::uint64_t run_flushes,
                                      std::uint64_t batched_refs) {
-  char buf[320];
+  char buf[224];
   std::snprintf(buf, sizeof(buf),
-                "hits=%llu misses=%llu fills=%llu conflict-evictions=%llu "
-                "shootdown-pages=%llu shootdown-hits=%llu run-flushes=%llu "
+                "hits=%llu misses=%llu shootdown-pages=%llu run-flushes=%llu "
                 "batched-refs=%llu",
                 (unsigned long long)hits, (unsigned long long)misses,
-                (unsigned long long)fills, (unsigned long long)conflict_evictions,
-                (unsigned long long)shootdown_pages, (unsigned long long)shootdown_hits,
-                (unsigned long long)run_flushes, (unsigned long long)batched_refs);
+                (unsigned long long)shootdown_pages, (unsigned long long)run_flushes,
+                (unsigned long long)batched_refs);
   return buf;
 }
 

@@ -3,8 +3,8 @@
 //
 // All latencies are virtual-time nanoseconds, so every recorded value — and
 // therefore every percentile — is a deterministic integer: the same run produces
-// byte-identical latency metrics on any host, with the software TLB on or off, and
-// under any sweep worker count. The histogram is the source of the exported
+// byte-identical latency metrics on any host, with batched or immediate reference
+// accounting, and under any sweep worker count. The histogram is the source of the exported
 // percentiles; the reservoir keeps a bounded set of raw samples for inspection
 // (quantile cross-checks in tests, detail strings) without unbounded memory.
 

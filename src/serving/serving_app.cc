@@ -8,7 +8,7 @@
 // (open-loop: the client does not wait for the server); a request arriving into a
 // backlog observes queueing delay — latency is completion minus arrival, both in
 // virtual time, so every percentile is byte-identical across hosts, sweep worker
-// counts, and TLB on/off.
+// counts, and reference-accounting modes.
 //
 // Verification is built in like the batch apps': within a phase each (tenant, key)
 // has exactly one writer (the tenant's home shard), so home-shard GETs check every

@@ -41,7 +41,7 @@ class IpcBus {
   }
 
   // Record a run of `count` transactions of `bytes_each`, the last of which completed
-  // at `now` (the TLB fast path's batched accounting). Totals are integer sums and the
+  // at `now` (the reference fast path's batched accounting). Totals are integer sums and the
   // horizon is a running max over per-processor-monotone clocks, so one block record
   // leaves every counter exactly as `count` individual RecordTransfer calls would
   // have. Only valid when contention modeling is off: a dilating bus must see each

@@ -6,7 +6,7 @@
 // system-time component; their sum is the processor's virtual "now" used by the
 // deterministic thread scheduler.
 //
-// Batched charging (the software-TLB fast path, src/machine/tlb.h): a run of
+// Batched charging (the reference fast path, Machine::FastAccess): a run of
 // consecutive same-page references accumulates its user time here reference by
 // reference and commits it to the user component as one block when the run breaks.
 // `now()` and `user_ns()` always include the open run, so every clock read — in
@@ -54,7 +54,7 @@ class ProcClocks {
     now_ns_[Idx(proc)] += ns;
   }
 
-  // --- batched user time (TLB fast path) ---------------------------------------------
+  // --- batched user time (reference fast path) ---------------------------------------
   // Advance the clock for one reference of an open run. The time is visible to every
   // reader immediately; only its attribution to the user component is deferred.
   void AccumulateUser(ProcId proc, TimeNs ns) {

@@ -94,11 +94,6 @@ struct MachineConfig {
   // physical page per processor (paper section 2.1/2.3.1).
   bool rosetta_single_mapping = true;
 
-  // Entries per processor in the software TLB fronting the reference path
-  // (src/machine/tlb.h). Power of two. Purely a simulator-performance knob: hit or
-  // miss, every counter and clock is byte-identical.
-  std::uint32_t tlb_entries = 1024;
-
   std::uint32_t PageShift() const {
     ACE_CHECK(page_size != 0 && (page_size & (page_size - 1)) == 0);
     std::uint32_t shift = 0;
@@ -115,7 +110,6 @@ struct MachineConfig {
     ACE_CHECK(page_size >= 64 && (page_size & (page_size - 1)) == 0);
     ACE_CHECK(global_pages > 0);
     ACE_CHECK(local_pages_per_proc > 0);
-    ACE_CHECK(tlb_entries >= 2 && (tlb_entries & (tlb_entries - 1)) == 0);
   }
 };
 

@@ -65,7 +65,7 @@ class PhysicalMemory {
   std::uint32_t LocalLimit(ProcId proc) const;
 
   // --- Data access -----------------------------------------------------------------
-  // Inline: ReadWord/WriteWord sit on the per-reference fast path (src/machine/tlb.h).
+  // Inline: ReadWord/WriteWord sit on the per-reference fast path (Machine::FastAccess).
 
   // Raw bytes of a frame; valid until the memory object is destroyed.
   std::uint8_t* FrameData(FrameRef frame) {

@@ -133,7 +133,7 @@ struct MachineStats {
   }
 
   // Record a run of `count` consecutive references of one (class, kind) by one
-  // processor — the TLB fast path's batched accounting. Reference counters are pure
+  // processor — the reference fast path's batched accounting. Reference counters are pure
   // sums, so one block record is exactly `count` RecordRef calls.
   void RecordRefBlock(ProcId proc, MemoryClass cls, AccessKind kind, std::uint64_t count) {
     ProcRefCounts& c = refs[static_cast<std::size_t>(proc)];

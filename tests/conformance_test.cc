@@ -107,12 +107,12 @@ TEST(Conformance, ManagerMatchesModelAcrossPoliciesAndSeeds) {
   }
 }
 
-// With config.tlb the Differ attaches a software-TLB mirror as the real side's
-// MappingControl: every resolution is cached per (proc, page), only the shootdown
-// callbacks may evict, and after each op every surviving translation is checked
-// against the protocol state. A transition that forgets to drop a mapping — the bug
-// class Machine's fast path (src/machine/tlb.h) cannot tolerate — diverges here.
-TEST(Conformance, TlbMirrorSeesEveryShootdownAcrossPoliciesAndSeeds) {
+// The Differ's real side always runs a mapping mirror as its MappingControl: every
+// resolution is recorded per (proc, page), only the unmap callbacks may drop it, and
+// after each op every surviving translation is checked against the protocol state.
+// A transition that forgets to drop a mapping — the bug class Machine's fast path
+// cannot tolerate, since it uses an MMU entry until the protocol drops it — diverges.
+TEST(Conformance, MappingMirrorSeesEveryUnmapAcrossPoliciesAndSeeds) {
   const RefModel::PolicyKind kinds[] = {
       RefModel::PolicyKind::kMoveLimit, RefModel::PolicyKind::kRemoteHome,
       RefModel::PolicyKind::kAllGlobal, RefModel::PolicyKind::kAllLocal};
@@ -120,7 +120,6 @@ TEST(Conformance, TlbMirrorSeesEveryShootdownAcrossPoliciesAndSeeds) {
     for (std::uint64_t seed = 10; seed < 13; ++seed) {
       ConformConfig config;
       config.policy = kind;
-      config.tlb = true;
       std::vector<ConformOp> ops = GenerateOps(config, seed, 2500);
       std::optional<Divergence> d = RunOps(config, ops);
       ASSERT_FALSE(d.has_value()) << PolicyKindName(kind) << " seed " << seed << " op "
@@ -181,7 +180,6 @@ TEST(Conformance, DurabilityKillAndCorruptStayConformantAcrossPoliciesAndSeeds) 
       ConformConfig config;
       config.policy = kind;
       config.durability = true;
-      config.tlb = (seed & 1) != 0;  // exercise the shootdown mirror under kills too
       std::vector<ConformOp> ops = GenerateOps(config, seed, 2500);
       std::optional<Divergence> d = RunOps(config, ops);
       ASSERT_FALSE(d.has_value()) << PolicyKindName(kind) << " seed " << seed << " op "

@@ -3,10 +3,10 @@
 // The two load-bearing guarantees:
 //   * golden sum-of-deltas — a sampled run's ace-live-v1 segment validates, and the
 //     summary's cumulative totals equal the machine's actual end-of-run counters
-//     exactly (with and without the software TLB), so the per-interval deltas are a
-//     lossless decomposition of the final counters;
+//     exactly (with and without a reference observer attached), so the per-interval
+//     deltas are a lossless decomposition of the final counters;
 //   * determinism — sampling is a pure observer: a sampled run's application result,
-//     virtual clocks, and every MachineStats/TLB counter are identical to an
+//     virtual clocks, and every MachineStats/fast-path counter are identical to an
 //     unsampled run's, and a whole sweep cell serializes to identical bytes.
 // The rest pins the validator's contract (monotone timestamps, non-negative deltas,
 // summary equality, torn-tail and open-segment tolerance), trace-ring drop
@@ -59,15 +59,20 @@ struct SampledRun {
   std::uint64_t samples = 0;
 };
 
+void NoopObserver(void*, ProcId, VirtAddr, AccessKind, MemoryClass) {}
+
 // One app run on a fresh machine, optionally streamed through a LiveSampler into a
-// temp feed file — the same wiring ace_run --live-out uses. `trace_capacity` > 0
+// temp feed file — the same wiring ace_run --live-out uses. `observed` attaches a
+// no-op reference observer (the trace module's hook). `trace_capacity` > 0
 // additionally arms event tracing with a ring that small (to force drops).
-SampledRun RunApp(const char* app_name, bool tlb, bool sampled, TimeNs interval_ns,
+SampledRun RunApp(const char* app_name, bool observed, bool sampled, TimeNs interval_ns,
                   std::size_t trace_capacity = 0) {
   Machine::Options mo;
   mo.config.num_processors = 4;
-  mo.enable_tlb = tlb;
   Machine machine(mo);
+  if (observed) {
+    machine.SetRefObserver(&NoopObserver, nullptr);
+  }
   if (trace_capacity > 0) {
     EXPECT_TRUE(machine.observability().EnableTracing(trace_capacity));
   }
@@ -80,8 +85,8 @@ SampledRun RunApp(const char* app_name, bool tlb, bool sampled, TimeNs interval_
   std::unique_ptr<LiveSampler> sampler;
   std::string path;
   if (sampled) {
-    path = ::testing::TempDir() + "live_feed_" + app_name + (tlb ? "_tlb" : "_notlb") +
-           ".jsonl";
+    path = ::testing::TempDir() + "live_feed_" + app_name +
+           (observed ? "_observed" : "_bare") + ".jsonl";
     EXPECT_TRUE(writer.Open(path, /*append=*/false));
     LiveSampler::Options so;
     so.interval_ns = interval_ns;
@@ -96,7 +101,6 @@ SampledRun RunApp(const char* app_name, bool tlb, bool sampled, TimeNs interval_
     meta.threads = 4;
     meta.pages = mo.config.global_pages;
     meta.page_size = mo.config.page_size;
-    meta.tlb = machine.tlb_enabled();
     sampler->BeginRun(std::move(meta));
     cfg.runtime.sampler = sampler.get();
   }
@@ -132,8 +136,8 @@ LiveFeedState FoldFeed(const std::string& feed) {
 
 // --- golden sum-of-deltas ------------------------------------------------------------
 
-void GoldenSumOfDeltas(bool tlb) {
-  SampledRun run = RunApp("IMatMult", tlb, /*sampled=*/true, /*interval_ns=*/1'000'000);
+void GoldenSumOfDeltas(bool observed) {
+  SampledRun run = RunApp("IMatMult", observed, /*sampled=*/true, /*interval_ns=*/1'000'000);
   ASSERT_TRUE(run.app.ok) << run.app.detail;
   ASSERT_GT(run.samples, 1u) << "cadence never fired: the runtime hook is dead";
 
@@ -170,12 +174,9 @@ void GoldenSumOfDeltas(bool tlb) {
   EXPECT_EQ(state.totals[kLcTlbMisses], run.tlb.misses);
   EXPECT_EQ(state.totals[kLcUserNs], static_cast<std::uint64_t>(run.user_ns));
   EXPECT_EQ(state.totals[kLcSystemNs], static_cast<std::uint64_t>(run.system_ns));
-  if (tlb) {
-    EXPECT_GT(state.totals[kLcTlbHits], 0u);
-  } else {
-    EXPECT_EQ(state.totals[kLcTlbHits], 0u);
-    EXPECT_EQ(state.totals[kLcTlbMisses], 0u);
-  }
+  // Every reference is one MMU probe, so the feed's probe totals cover the run.
+  EXPECT_GT(state.totals[kLcTlbHits], 0u);
+  EXPECT_EQ(state.totals[kLcTlbHits] + state.totals[kLcTlbMisses], t.Total());
   // Heat profiling rode along: policy decisions and hot-page rows made it into the
   // feed (the numatop-style views render from these).
   EXPECT_GT(state.totals[kLcDecLocal] + state.totals[kLcDecGlobal] +
@@ -189,16 +190,16 @@ void GoldenSumOfDeltas(bool tlb) {
   EXPECT_TRUE(torn.torn_tail);
 }
 
-TEST(LiveGolden, DeltasSumToFinalCountersWithTlb) { GoldenSumOfDeltas(true); }
-TEST(LiveGolden, DeltasSumToFinalCountersWithoutTlb) { GoldenSumOfDeltas(false); }
+TEST(LiveGolden, DeltasSumToFinalCountersWithTlb) { GoldenSumOfDeltas(false); }
+TEST(LiveGolden, DeltasSumToFinalCountersWithRefObserver) { GoldenSumOfDeltas(true); }
 
 // --- determinism ---------------------------------------------------------------------
 
 // Sampling must not perturb the simulation: same app, same config, same seed, with
 // and without the sampler attached — every counter and clock identical.
 TEST(LiveDeterminism, SampledRunMatchesUnsampledExactly) {
-  SampledRun bare = RunApp("ParMult", /*tlb=*/true, /*sampled=*/false, 0);
-  SampledRun sampled = RunApp("ParMult", /*tlb=*/true, /*sampled=*/true, 1'000'000);
+  SampledRun bare = RunApp("ParMult", /*observed=*/false, /*sampled=*/false, 0);
+  SampledRun sampled = RunApp("ParMult", /*observed=*/false, /*sampled=*/true, 1'000'000);
   ASSERT_TRUE(bare.app.ok) << bare.app.detail;
   ASSERT_TRUE(sampled.app.ok) << sampled.app.detail;
   EXPECT_GT(sampled.samples, 0u);
@@ -226,13 +227,12 @@ TEST(LiveDeterminism, SampledRunMatchesUnsampledExactly) {
     EXPECT_EQ(x.refs[p].store_global, y.refs[p].store_global) << "proc " << p;
     EXPECT_EQ(x.refs[p].store_remote, y.refs[p].store_remote) << "proc " << p;
   }
-  // TLB behavior identical too. (batched_refs/run_flushes are excluded by design:
-  // the sampler's heat profiling forces per-reference recording, which bypasses run
-  // batching — pure bookkeeping of the fast path's batching, with every hit, miss,
-  // fill, and shootdown unchanged.)
+  // Fast-path behavior identical too. (batched_refs/run_flushes are excluded by
+  // design: the sampler's heat profiling forces per-reference recording, which
+  // bypasses run batching — pure bookkeeping of the fast path's batching, with every
+  // hit, miss and shootdown unchanged.)
   EXPECT_EQ(bare.tlb.hits, sampled.tlb.hits);
   EXPECT_EQ(bare.tlb.misses, sampled.tlb.misses);
-  EXPECT_EQ(bare.tlb.fills, sampled.tlb.fills);
   EXPECT_EQ(bare.tlb.shootdown_pages, sampled.tlb.shootdown_pages);
 }
 
@@ -479,7 +479,7 @@ TEST(LiveTraceRing, DropsAreVisibleInFeedAndSnapshot) {
   if (!Observability::TracingCompiledIn()) {
     GTEST_SKIP() << "ACE_TRACE compiled out";
   }
-  SampledRun run = RunApp("IMatMult", /*tlb=*/false, /*sampled=*/true,
+  SampledRun run = RunApp("IMatMult", /*observed=*/false, /*sampled=*/true,
                           /*interval_ns=*/1'000'000, /*trace_capacity=*/4);
   ASSERT_TRUE(run.app.ok) << run.app.detail;
   ASSERT_GT(run.trace_dropped, 0u) << "ring never wrapped: capacity too large";

@@ -1,7 +1,7 @@
 // Machine-level tests for the durability subsystem (DESIGN.md section 14): the
 // ReplicaManager's dirty-page journals and checksums, the RecoveryManager's kill-node
 // and corrupt-page handling, and the EvacuateNode edge cases (pageout race, CoW
-// shadows, cached TLB translations). Serving-workload end-to-end recovery lives in
+// shadows, MMU translations). Serving-workload end-to-end recovery lives in
 // serving_fault_test.cc; the protocol-level differential check in conformance_test.cc.
 
 #include <gtest/gtest.h>
@@ -299,9 +299,8 @@ TEST(EvacuateNode, CowShadowPagesKeepTheirPrivacy) {
 }
 
 TEST(EvacuateNode, CachedTlbTranslationsAreShotDown) {
-  // Force the poison cross-check on regardless of build flags: a stale TLB entry
-  // surviving the evacuation aborts the run instead of silently reading the old
-  // frame.
+  // Force the poison cross-check on regardless of build flags: an MMU entry whose
+  // derived fields disagree with the pmap after the evacuation aborts the run.
   ScriptedPolicy policy;
   Machine::Options mo;
   mo.config.num_processors = 3;
@@ -309,24 +308,27 @@ TEST(EvacuateNode, CachedTlbTranslationsAreShotDown) {
   mo.config.local_pages_per_proc = 8;
   mo.custom_policy = &policy;
   mo.fault_plan = Plan(kArmingPlan);
-  mo.enable_tlb = true;
   mo.tlb_verify = 1;
   Machine machine(mo);
-  if (!machine.tlb_enabled()) {
-    GTEST_SKIP() << "ACE_TLB=off in the environment";
-  }
-  Task* task = machine.CreateTask("tlb");
+  Task* task = machine.CreateTask("evac");
   const VirtAddr va = task->MapAnonymous("data", machine.page_size());
+  const VirtPage vpage = va / machine.page_size();
 
   policy.next = Placement::kLocal;
   machine.StoreWord(*task, 1, va, 0x70b5u);
-  // Populate node 1's TLB with the owned-frame translation.
+  // Node 1's MMU holds the owned-frame translation and hits on it.
   EXPECT_EQ(machine.LoadWord(*task, 1, va), 0x70b5u);
+  const MmuEntry* before = machine.pmap().mmu(1).Find(vpage);
+  ASSERT_NE(before, nullptr);
+  ASSERT_EQ(before->frame.node, 1);
 
   EXPECT_EQ(machine.numa_manager().EvacuateNode(1, 0, 0), 1u);
-  // The next reference through node 1 must miss (or verify clean) and refault to
-  // the page's post-evacuation home — with tlb_verify on, a stale hit aborts.
+  // The evacuation dropped node 1's translation of its own frame, so the next
+  // reference through node 1 faults and resolves the page's post-evacuation home.
+  EXPECT_EQ(machine.pmap().mmu(1).Find(vpage), nullptr);
+  const std::uint64_t faults_before = machine.stats().page_faults;
   EXPECT_EQ(machine.LoadWord(*task, 1, va), 0x70b5u);
+  EXPECT_GT(machine.stats().page_faults, faults_before);
   EXPECT_EQ(machine.LoadWord(*task, 0, va), 0x70b5u);
   CheckMachineInvariants(machine);
 }

@@ -1,6 +1,6 @@
 // Tests for the serving workload (src/serving): Zipfian client model shape and
 // determinism, open-loop arrival reproducibility, latency histogram/reservoir
-// mechanics, byte-identical serving sweeps across worker counts and TLB settings,
+// mechanics, byte-identical serving sweeps across worker counts and accounting modes,
 // live-feed request counters, and the committed serving baseline's structure.
 
 #include <algorithm>
@@ -226,33 +226,56 @@ TEST(ServingSweep, ParallelDispatchDoesNotChangeLatencyMetrics) {
   EXPECT_GT(forked.MetricOr("lat_p99_ms", 0.0), 0.0);
 }
 
-// Latency percentiles are virtual-time-derived, so the software-TLB fast path must
-// not move them by a nanosecond.
-TEST(ServingSweep, TlbOnOffLatenciesAreByteIdentical) {
-  std::unique_ptr<App> app = CreateAppByName("Serving");
-  ASSERT_NE(app, nullptr);
-  ExperimentOptions options;
-  options.num_threads = 4;
-  options.config.num_processors = 4;
-  options.scale = 0.25;
-  options.serving.tenants = 4;
-  options.serving.zipf_skew = 1.1;
+void NoopObserver(void*, ProcId, VirtAddr, AccessKind, MemoryClass) {}
 
-  options.enable_tlb = true;
-  PlacementRun on = RunPlacement(*app, options, PolicySpec::MoveLimit(4), 4, 4);
-  options.enable_tlb = false;
-  PlacementRun off = RunPlacement(*app, options, PolicySpec::MoveLimit(4), 4, 4);
+// Latency percentiles are virtual-time-derived, so batched fast-path accounting must
+// not move them by a nanosecond against immediate accounting (forced by attaching a
+// no-op reference observer).
+TEST(ServingSweep, BatchedAndImmediateLatenciesAreByteIdentical) {
+  struct Outcome {
+    AppResult app;
+    TimeNs user_ns = 0;
+    TimeNs system_ns = 0;
+    MachineStats stats;
+    TlbStats tlb;
+  };
+  auto run = [](bool immediate) {
+    Machine::Options mo;
+    mo.config.num_processors = 4;
+    mo.policy = PolicySpec::MoveLimit(4);
+    Machine machine(mo);
+    if (immediate) {
+      machine.SetRefObserver(&NoopObserver, nullptr);
+    }
+    AppConfig cfg;
+    cfg.num_threads = 4;
+    cfg.scale = 0.25;
+    cfg.serving.tenants = 4;
+    cfg.serving.zipf_skew = 1.1;
+    Outcome out;
+    out.app = CreateAppByName("Serving")->Run(machine, cfg);
+    out.user_ns = machine.clocks().TotalUser();
+    out.system_ns = machine.clocks().TotalSystem();
+    out.stats = machine.stats();
+    out.tlb = machine.tlb_stats();
+    return out;
+  };
+  Outcome batched = run(false);
+  Outcome immediate = run(true);
 
-  EXPECT_TRUE(on.app.ok);
-  EXPECT_TRUE(off.app.ok);
-  EXPECT_GT(on.tlb_hits + on.tlb_batched_refs, 0u) << "fast path must engage";
-  EXPECT_EQ(off.tlb_hits + off.tlb_fills + off.tlb_batched_refs, 0u);
-  EXPECT_EQ(on.user_sec, off.user_sec);
-  EXPECT_EQ(on.system_sec, off.system_sec);
-  ASSERT_EQ(on.app.metrics.size(), off.app.metrics.size());
-  for (std::size_t i = 0; i < on.app.metrics.size(); ++i) {
-    EXPECT_EQ(on.app.metrics[i].first, off.app.metrics[i].first);
-    EXPECT_EQ(on.app.metrics[i].second, off.app.metrics[i].second) << on.app.metrics[i].first;
+  EXPECT_TRUE(batched.app.ok);
+  EXPECT_TRUE(immediate.app.ok);
+  EXPECT_GT(batched.tlb.batched_refs, 0u) << "batching must engage";
+  EXPECT_EQ(immediate.tlb.batched_refs, 0u);
+  EXPECT_EQ(batched.tlb.hits, immediate.tlb.hits);
+  EXPECT_EQ(batched.user_ns, immediate.user_ns);
+  EXPECT_EQ(batched.system_ns, immediate.system_ns);
+  EXPECT_TRUE(batched.stats == immediate.stats);
+  ASSERT_EQ(batched.app.metrics.size(), immediate.app.metrics.size());
+  for (std::size_t i = 0; i < batched.app.metrics.size(); ++i) {
+    EXPECT_EQ(batched.app.metrics[i].first, immediate.app.metrics[i].first);
+    EXPECT_EQ(batched.app.metrics[i].second, immediate.app.metrics[i].second)
+        << batched.app.metrics[i].first;
   }
 }
 

@@ -34,25 +34,15 @@ struct Options {
   std::string policy = "all";
   int threshold = 4;
   std::string plan;
-  int tlb = -1;  // -1 = derived from the seed (the per-seed ACE_TLB flip), 0/1 forced
   int durability = -1;  // -1 = derived from the seed, 0/1 forced
   bool expect_divergence = false;
   bool quiet = false;
 };
 
-// The per-seed ACE_TLB flip: half of all seeds run with the software-TLB mirror
-// attached (ConformConfig::tlb), so sweeps continuously exercise the shootdown
-// discipline the Machine fast path depends on. SplitMix64-style mix so neighboring
-// seeds don't all land on the same side.
-bool DeriveTlb(std::uint64_t seed) {
-  std::uint64_t z = (seed + 0x9e3779b97f4a7c15ULL) * 0xbf58476d1ce4e5b9ULL;
-  return ((z ^ (z >> 31)) & 1) != 0;
-}
-
-// The analogous per-seed durability flip (ConformConfig::durability): half of all
-// seeds arm the ReplicaManager and mix kill-node / corrupt-page operations into the
-// stream, so sweeps continuously exercise the recovery transitions too. A different
-// mix constant keeps the two flips uncorrelated across seeds.
+// The per-seed durability flip (ConformConfig::durability): half of all seeds arm the
+// ReplicaManager and mix kill-node / corrupt-page operations into the stream, so
+// sweeps continuously exercise the recovery transitions too. SplitMix64-style mix so
+// neighboring seeds don't all land on the same side.
 bool DeriveDurability(std::uint64_t seed) {
   std::uint64_t z = (seed + 0xbf58476d1ce4e5b9ULL) * 0x94d049bb133111ebULL;
   return ((z ^ (z >> 31)) & 1) != 0;
@@ -62,10 +52,8 @@ void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seed N] [--ops N] [--policy move-limit|remote-home|"
                "all-global|all-local|all]\n"
-               "          [--threshold N] [--plan FAULT-PLAN] [--tlb|--no-tlb]\n"
+               "          [--threshold N] [--plan FAULT-PLAN]\n"
                "          [--durability|--no-durability] [--expect-divergence] [--quiet]\n"
-               "  --tlb / --no-tlb  force the software-TLB shootdown mirror on or off\n"
-               "                    (default: flipped pseudo-randomly per seed)\n"
                "  --durability / --no-durability\n"
                "                    force the durability substrate (kill-node and\n"
                "                    corrupt-page operations) on or off (default: flipped\n"
@@ -93,10 +81,6 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
       opt->threshold = std::atoi(next());
     } else if (arg == "--plan") {
       opt->plan = next();
-    } else if (arg == "--tlb") {
-      opt->tlb = 1;
-    } else if (arg == "--no-tlb") {
-      opt->tlb = 0;
     } else if (arg == "--durability") {
       opt->durability = 1;
     } else if (arg == "--no-durability") {
@@ -152,7 +136,6 @@ int main(int argc, char** argv) {
     config.move_threshold = opt.threshold;
     config.plan = plan;
     config.fault_seed = opt.seed;
-    config.tlb = opt.tlb < 0 ? DeriveTlb(opt.seed) : opt.tlb != 0;
     config.durability = opt.durability < 0 ? DeriveDurability(opt.seed) : opt.durability != 0;
 
     std::vector<ace::ConformOp> ops = ace::GenerateOps(config, opt.seed, opt.ops);
@@ -166,20 +149,18 @@ int main(int argc, char** argv) {
                     ops.size());
         failed = true;
       } else if (!opt.quiet) {
-        std::printf("policy %s: %zu ops, no divergence (seed %llu, tlb %s, durability %s)\n",
+        std::printf("policy %s: %zu ops, no divergence (seed %llu, durability %s)\n",
                     name.c_str(), ops.size(), static_cast<unsigned long long>(opt.seed),
-                    config.tlb ? "on" : "off", config.durability ? "on" : "off");
+                    config.durability ? "on" : "off");
         std::printf("  %s\n", ace::FormatProtocolCounters(stats).c_str());
       }
       continue;
     }
 
     std::printf(
-        "policy %s: DIVERGENCE at op %zu (seed %llu, threshold %d, plan %s, tlb %s, "
-        "durability %s)\n",
+        "policy %s: DIVERGENCE at op %zu (seed %llu, threshold %d, plan %s, durability %s)\n",
         name.c_str(), d->op_index, static_cast<unsigned long long>(opt.seed), opt.threshold,
-        opt.plan.empty() ? "-" : opt.plan.c_str(), config.tlb ? "on" : "off",
-        config.durability ? "on" : "off");
+        opt.plan.empty() ? "-" : opt.plan.c_str(), config.durability ? "on" : "off");
     std::printf("  %s\n", d->what.c_str());
     std::vector<ace::ConformOp> repro = ace::ShrinkOps(config, std::move(ops));
     std::printf("shrunk repro (%zu ops):\n", repro.size());
@@ -187,9 +168,9 @@ int main(int argc, char** argv) {
       std::printf("  [%zu] %s\n", i, ace::FormatOp(repro[i]).c_str());
     }
     std::printf(
-        "rerun: ace_conform --seed %llu --ops %zu --policy %s --threshold %d %s %s%s%s\n",
+        "rerun: ace_conform --seed %llu --ops %zu --policy %s --threshold %d %s%s%s\n",
         static_cast<unsigned long long>(opt.seed), opt.ops, name.c_str(), opt.threshold,
-        config.tlb ? "--tlb" : "--no-tlb", config.durability ? "--durability" : "--no-durability",
+        config.durability ? "--durability" : "--no-durability",
         opt.plan.empty() ? "" : " --plan ", opt.plan.empty() ? "" : opt.plan.c_str());
     if (!opt.expect_divergence) {
       failed = true;

@@ -61,11 +61,8 @@ void Usage() {
       "                         'drain-mem@1:30000000:90000000:250' (same grammar;\n"
       "                         also arms the serving SLO guard)\n"
       "  --trace                print the sharing-class trace report\n"
-      "  --no-tlb               disable the software-TLB fast path (same metrics,\n"
-      "                         slower; ACE_TLB=0 in the environment does the same)\n"
-      "  --tlb-stats            print the tlb counter group (hits, fills,\n"
-      "                         shootdowns, batched refs). Off by default so output\n"
-      "                         stays byte-comparable across --no-tlb\n"
+      "  --tlb-stats            print the tlb counter group: MMU fast-path hits and\n"
+      "                         misses, shootdowns, batched refs\n"
       "  --optimal              print the optimal-placement comparison\n"
       "  --experiment           run all three placements and print the model row\n"
       "observability (src/obs; all options also accept --opt=value):\n"
@@ -113,7 +110,6 @@ int main(int argc, char** argv) {
   std::uint32_t page_size = 4096;
   std::uint32_t global_pages = 4096;
   bool pager = false;
-  bool no_tlb = false;
   bool tlb_stats = false;
   bool trace = false;
   bool optimal = false;
@@ -200,8 +196,6 @@ int main(int argc, char** argv) {
       chaos_text = next();
     } else if (arg == "--pager") {
       pager = true;
-    } else if (arg == "--no-tlb") {
-      no_tlb = true;
     } else if (arg == "--tlb-stats") {
       tlb_stats = true;
     } else if (arg == "--trace") {
@@ -263,8 +257,6 @@ int main(int argc, char** argv) {
       scheduler == "migrating" ? ace::SchedulerKind::kMigrating : ace::SchedulerKind::kAffinity;
   options.serving = serving;
 
-  options.enable_tlb = !no_tlb;
-
   if (experiment) {
     // With --live-out the three placement runs become three feed segments, all
     // through one writer (RunPlacement opens/closes each segment).
@@ -306,7 +298,6 @@ int main(int argc, char** argv) {
   mo.config = options.config;
   mo.policy = ParsePolicy(policy_name, threshold);
   mo.enable_pager = pager;
-  mo.enable_tlb = !no_tlb;
   mo.fault_seed = seed;
   // --chaos rides the same plan grammar: chaos items simply append to --plan, so
   // every downstream consumer (feed meta, JSONL dump, replay lines) sees one plan
@@ -369,7 +360,6 @@ int main(int argc, char** argv) {
     meta.page_size = page_size;
     meta.seed = seed;
     meta.fault_plan = plan_text;
-    meta.tlb = machine.tlb_enabled();
     meta.tag = serving_desc;
     sampler->BeginRun(std::move(meta));
   }
@@ -444,12 +434,10 @@ int main(int argc, char** argv) {
   }
   if (tlb_stats) {
     const ace::TlbStats t = machine.tlb_stats();
-    std::printf("tlb:            %s%s\n",
-                ace::FormatTlbCounters(t.hits, t.misses, t.fills, t.conflict_evictions,
-                                       t.shootdown_pages, t.shootdown_hits,
-                                       t.run_flushes, t.batched_refs)
-                    .c_str(),
-                machine.tlb_enabled() ? "" : " (tlb disabled)");
+    std::printf("tlb:            %s\n",
+                ace::FormatTlbCounters(t.hits, t.misses, t.shootdown_pages, t.run_flushes,
+                                       t.batched_refs)
+                    .c_str());
   }
   if (sampler != nullptr) {
     live_writer.Close();

@@ -94,7 +94,6 @@ struct RunSpec {
   int threshold = 4;
   bool migrating = false;
   bool pager = false;
-  bool tlb = false;
   std::uint32_t global_pages = 4096;
   // Open-loop request budget for Serving draws (0 for the batch apps): keeps each
   // soak run a short bounded burst well inside --run-timeout.
@@ -241,10 +240,6 @@ RunSpec DeriveRun(std::uint64_t seed) {
   spec.threshold = 1 + static_cast<int>(rng.Below(6));
   spec.migrating = rng.Below(4) == 0;
   spec.pager = rng.Below(2) == 0;
-  // The ACE_TLB flip: half of all seeds run through the software-TLB fast path with
-  // the poison cross-check forced on, so a degrade path that forgets a shootdown
-  // aborts ("poisoned TLB entry") and is caught by the fork layer as a violation.
-  spec.tlb = rng.Below(2) == 0;
   // With the pager on, a tight pool forces real pageout traffic under injection.
   spec.global_pages = spec.pager ? 1024 : 4096;
   if (seed % 8 != 0) {  // every 8th run stays clean to assert zero-cost-when-unarmed
@@ -291,10 +286,10 @@ std::string ReplayCommand(const RunSpec& spec) {
   char buf[512];
   std::snprintf(buf, sizeof buf,
                 "ace_soak --replay --app %s --threads %d --scale %g --variant %d "
-                "--policy %s --threshold %d%s%s%s%s --fault-seed %llu --plan '%s'",
+                "--policy %s --threshold %d%s%s%s --fault-seed %llu --plan '%s'",
                 spec.app.c_str(), spec.threads, spec.scale, spec.variant, spec.policy.c_str(),
                 spec.threshold, spec.migrating ? " --migrating" : "",
-                spec.pager ? " --pager" : "", spec.tlb ? " --tlb" : "", requests,
+                spec.pager ? " --pager" : "", requests,
                 static_cast<unsigned long long>(spec.fault_seed),
                 spec.plan.Format().c_str());
   return buf;
@@ -302,9 +297,9 @@ std::string ReplayCommand(const RunSpec& spec) {
 
 std::string DescribeRun(const RunSpec& spec) {
   char buf[384];
-  std::snprintf(buf, sizeof buf, "%-8s threads=%d policy=%-11s%s%s%s plan=%s", spec.app.c_str(),
+  std::snprintf(buf, sizeof buf, "%-8s threads=%d policy=%-11s%s%s plan=%s", spec.app.c_str(),
                 spec.threads, spec.policy.c_str(), spec.migrating ? " migrating" : "",
-                spec.pager ? " pager" : "", spec.tlb ? " tlb" : "",
+                spec.pager ? " pager" : "",
                 spec.plan.empty() ? "-" : spec.plan.Format().c_str());
   return buf;
 }
@@ -329,8 +324,10 @@ std::string RunInProcess(const RunSpec& spec) {
   mo.config.global_pages = spec.global_pages;
   mo.policy = ParsePolicy(spec.policy, spec.threshold);
   mo.enable_pager = spec.pager;
-  mo.enable_tlb = spec.tlb;
-  mo.tlb_verify = spec.tlb ? 1 : -1;  // poison cross-check on: stale entries abort
+  // Poison cross-check on for every seed: a fast-path hit whose derived fields
+  // disagree with the frame, latency model or pmap directory aborts, and the fork
+  // layer reports it as a violation.
+  mo.tlb_verify = 1;
   mo.fault_plan = spec.plan;
   mo.fault_seed = spec.fault_seed;
   ace::Machine machine(mo);
@@ -367,7 +364,6 @@ std::string RunInProcess(const RunSpec& spec) {
     meta.page_size = mo.config.page_size;
     meta.seed = spec.fault_seed;
     meta.fault_plan = spec.plan.Format();
-    meta.tlb = spec.tlb;
     meta.tag = "seed=" + std::to_string(spec.fault_seed);
     sampler->BeginRun(std::move(meta));
     cfg.runtime.sampler = sampler.get();
@@ -406,15 +402,14 @@ std::string RunInProcess(const RunSpec& spec) {
     std::snprintf(buf, sizeof buf, "measured alpha out of range: %f", alpha);
     return buf;
   }
-  const ace::TlbStats& t = machine.tlb_stats();
-  if (spec.tlb) {
-    // Every fill follows a miss, with or without injected faults in the resolve path.
-    if (t.fills > t.misses) {
-      return fail("tlb fills <= tlb misses", t.fills, t.misses);
-    }
-  } else if (t.hits + t.misses + t.fills + t.batched_refs != 0) {
-    return fail("disabled TLB must stay cold", t.hits + t.misses + t.fills + t.batched_refs,
-                0);
+  // Every reference is exactly one MMU probe that either hits or misses, and every
+  // miss is a real fault (there is no translation cache left to miss in).
+  const ace::TlbStats t = machine.tlb_stats();
+  if (t.hits + t.misses != s.TotalRefs().Total()) {
+    return fail("tlb hits + misses == references", t.hits + t.misses, s.TotalRefs().Total());
+  }
+  if (t.misses > s.page_faults) {
+    return fail("tlb misses <= page_faults", t.misses, s.page_faults);
   }
   if (spec.plan.empty()) {
     std::uint64_t degraded = ace::CounterSum(s, ace::kDegradeCounters);
@@ -646,7 +641,7 @@ void Usage(const char* argv0) {
                "          [--run-timeout SECONDS] [--failures-json FILE] [--quiet]\n"
                "          [--live-out FILE] [--sample-interval NS]\n"
                "   or: %s --replay --app NAME --threads N --scale X --variant N\n"
-               "          --policy P --threshold N [--migrating] [--pager] [--tlb]\n"
+               "          --policy P --threshold N [--migrating] [--pager]\n"
                "          --fault-seed N --plan STR\n",
                argv0, argv0);
   std::exit(2);
@@ -741,8 +736,6 @@ int main(int argc, char** argv) {
       replay_spec.migrating = true;
     } else if (arg == "--pager") {
       replay_spec.pager = true;
-    } else if (arg == "--tlb") {
-      replay_spec.tlb = true;
     } else if (arg == "--requests") {
       replay_spec.serving_requests = std::strtoull(next(), nullptr, 0);
     } else if (arg == "--fault-seed") {
