@@ -32,6 +32,11 @@ using LogicalPage = std::uint32_t;
 
 inline constexpr LogicalPage kNoLogicalPage = ~LogicalPage{0};
 
+// Opaque identifier of one task's physical map (src/vm/pmap.h). The MMU tags each
+// translation with the pmap that entered it.
+using PmapHandle = std::uint32_t;
+inline constexpr PmapHandle kNoPmap = ~PmapHandle{0};
+
 // Processor identifier, 0-based. kNoProc marks "no processor" (e.g. a page with no
 // local-writable owner).
 using ProcId = std::int32_t;

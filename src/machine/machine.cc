@@ -1,7 +1,9 @@
 #include "src/machine/machine.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 
 #include "src/machine/chaos.h"
 #include "src/machine/recovery.h"
@@ -248,7 +250,14 @@ void Machine::VerifyEntry(ProcId proc, const MmuEntry& entry) {
   ACE_CHECK_MSG(entry.cost_fetch == latency.Cost(cls, AccessKind::kFetch) &&
                     entry.cost_store == latency.Cost(cls, AccessKind::kStore),
                 "poisoned MMU entry: cost disagrees with the latency model");
-  ACE_CHECK_MSG(entry.lp == pmap_->LookupLogicalPage(proc, entry.vpage),
+  // The entry is the forward half of the pmap directory; the reverse listing of its
+  // logical page must name this site exactly once. An out-of-range lp has an empty
+  // listing, so it fails here rather than reading past the table.
+  const std::span<const PageMapping> sites = pmap_->MappingsOf(entry.lp);
+  ACE_CHECK_MSG(std::count_if(sites.begin(), sites.end(),
+                              [&](const PageMapping& m) {
+                                return m.proc == proc && m.vpage == entry.vpage;
+                              }) == 1,
                 "poisoned MMU entry: logical page disagrees with the pmap directory");
 }
 

@@ -9,16 +9,17 @@
 //    mapping (paper section 2.1). This is the engine behind the consistency protocol.
 //
 //  * Rosetta allows only a single virtual address per physical page per processor
-//    (sections 2.1, 2.3.1). When enabled, entering a second virtual mapping for a
-//    frame silently displaces the first, producing a later refault.
+//    (sections 2.1, 2.3.1). Entering a second virtual mapping for a frame silently
+//    displaces the first, producing a later refault.
 //
 // The translation state is a flat open-addressed table per processor, indexed by
 // `vpage & mask` with linear probing, so an uncollided lookup is one load and one tag
 // compare. Each entry also carries what the reference path derives from the mapping
-// — logical page, memory class and per-kind cost — filled once at Enter. The machine's
-// fast path (Machine::FastAccess) probes this table directly: there is no second
-// translation cache to keep coherent, and every protocol invalidation is simply the
-// MMU mutation that drops or tightens the entry.
+// — logical page, memory class and per-kind cost — filled once at Enter, and the pmap
+// that entered it, so the table doubles as the pmap layer's forward mapping directory.
+// The machine's fast path (Machine::FastAccess) probes this table directly: there is
+// no second translation cache to keep coherent, and every protocol invalidation is
+// simply the MMU mutation that drops or tightens the entry.
 
 #ifndef SRC_MMU_MMU_H_
 #define SRC_MMU_MMU_H_
@@ -51,13 +52,15 @@ struct TranslateResult {
 };
 
 // One live translation. `cls` and the two costs are derived from `frame` and the
-// latency model at Enter; `lp` is the logical page the pmap entered (kNoLogicalPage
-// when the caller did not say). A frame change is always a new Enter, so the derived
-// fields can never disagree with the frame while the entry is live.
+// latency model at Enter; `lp` and `pmap` are the logical page and pmap that entered
+// it (kNoLogicalPage / kNoPmap when the caller did not say). A frame change is always
+// a new Enter, so the derived fields can never disagree with the frame while the
+// entry is live.
 struct MmuEntry {
   VirtPage vpage = 0;
   FrameRef frame;
   LogicalPage lp = kNoLogicalPage;
+  PmapHandle pmap = kNoPmap;
   Protection prot = Protection::kNone;
   MemoryClass cls = MemoryClass::kGlobal;
   TimeNs cost_fetch = 0;
@@ -76,10 +79,8 @@ class Mmu {
   static constexpr VirtPage kEmptySlot = ~VirtPage{0};
   static constexpr std::size_t kInitialSlots = 1024;
 
-  explicit Mmu(ProcId proc, bool rosetta_single_mapping,
-               const LatencyModel& latency = LatencyModel{})
+  explicit Mmu(ProcId proc, const LatencyModel& latency = LatencyModel{})
       : proc_(proc),
-        rosetta_single_mapping_(rosetta_single_mapping),
         latency_(latency),
         mask_(kInitialSlots - 1),
         slots_(kInitialSlots, EmptyEntry()) {}
@@ -115,28 +116,29 @@ class Mmu {
     return TranslateResult{FaultKind::kNone, e->frame, e->prot};
   }
 
-  // Install (or replace) a mapping. Returns the virtual page whose mapping was
-  // displaced by the Rosetta single-mapping restriction, or no value.
+  // Install (or replace) a mapping. Reports the virtual page (and its logical page)
+  // whose mapping the Rosetta single-mapping restriction displaced, if any.
   // The displaced page will fault again on next touch, exactly like the RT/PC
   // behaviour the paper leans on.
   struct EnterResult {
     bool displaced = false;
     VirtPage displaced_vpage = 0;
+    LogicalPage displaced_lp = kNoLogicalPage;
   };
   EnterResult Enter(VirtPage vpage, FrameRef frame, Protection prot,
-                    LogicalPage lp = kNoLogicalPage) {
+                    LogicalPage lp = kNoLogicalPage, PmapHandle pmap = kNoPmap) {
     ACE_CHECK(frame.valid());
     ACE_CHECK(prot != Protection::kNone);
     ACE_CHECK(vpage != kEmptySlot);
     EnterResult result;
-    if (rosetta_single_mapping_) {
-      auto rit = frame_to_vpage_.find(frame);
-      if (rit != frame_to_vpage_.end() && rit->second != vpage) {
-        result.displaced = true;
-        result.displaced_vpage = rit->second;
-        Erase(FindSlot(rit->second));
-        frame_to_vpage_.erase(rit);
-      }
+    auto rit = frame_to_vpage_.find(frame);
+    if (rit != frame_to_vpage_.end() && rit->second != vpage) {
+      MmuEntry* displaced = FindSlot(rit->second);
+      result.displaced = true;
+      result.displaced_vpage = rit->second;
+      result.displaced_lp = displaced->lp;
+      Erase(displaced);
+      frame_to_vpage_.erase(rit);
     }
     MmuEntry* e = FindSlot(vpage);
     if (e->vpage == vpage) {
@@ -159,13 +161,12 @@ class Mmu {
     e->vpage = vpage;
     e->frame = frame;
     e->lp = lp;
+    e->pmap = pmap;
     e->prot = prot;
     e->cls = frame.ClassFor(proc_);
     e->cost_fetch = latency_.Cost(e->cls, AccessKind::kFetch);
     e->cost_store = latency_.Cost(e->cls, AccessKind::kStore);
-    if (rosetta_single_mapping_) {
-      frame_to_vpage_[frame] = vpage;
-    }
+    frame_to_vpage_[frame] = vpage;
     return result;
   }
 
@@ -175,11 +176,9 @@ class Mmu {
     if (e->vpage != vpage) {
       return false;
     }
-    if (rosetta_single_mapping_) {
-      auto rit = frame_to_vpage_.find(e->frame);
-      if (rit != frame_to_vpage_.end() && rit->second == vpage) {
-        frame_to_vpage_.erase(rit);
-      }
+    auto rit = frame_to_vpage_.find(e->frame);
+    if (rit != frame_to_vpage_.end() && rit->second == vpage) {
+      frame_to_vpage_.erase(rit);
     }
     Erase(e);
     return true;
@@ -202,27 +201,19 @@ class Mmu {
 
   std::size_t MappingCount() const { return count_; }
 
-  // Visit every mapping as fn(vpage, frame, prot); used by invariant checkers.
+  // Visit every live entry as fn(const MmuEntry&), in slot order. The callback must
+  // not mutate this MMU: a removal moves entries under the walk.
   template <typename Fn>
   void ForEachMapping(Fn&& fn) const {
     for (const MmuEntry& e : slots_) {
       if (e.vpage != kEmptySlot) {
-        fn(e.vpage, e.frame, e.prot);
+        fn(e);
       }
     }
   }
 
-  void RemoveAll() {
-    invalidations_ += count_;
-    for (MmuEntry& e : slots_) {
-      e.vpage = kEmptySlot;
-    }
-    count_ = 0;
-    frame_to_vpage_.clear();
-  }
-
   // Per-page invalidations so far: each Enter over a live mapping, displacement,
-  // Remove of a live mapping, tightening Downgrade, and mapping dropped by RemoveAll.
+  // Remove of a live mapping, and tightening Downgrade.
   std::uint64_t invalidations() const { return invalidations_; }
 
  private:
@@ -273,39 +264,12 @@ class Mmu {
   }
 
   ProcId proc_;
-  bool rosetta_single_mapping_;
   LatencyModel latency_;
   std::size_t mask_;
   std::size_t count_ = 0;
   std::uint64_t invalidations_ = 0;
   std::vector<MmuEntry> slots_;
   std::unordered_map<FrameRef, VirtPage, FrameRefHash> frame_to_vpage_;
-};
-
-// The set of MMUs in the machine, one per processor.
-class MmuArray {
- public:
-  MmuArray(int num_processors, bool rosetta_single_mapping,
-           const LatencyModel& latency = LatencyModel{}) {
-    mmus_.reserve(static_cast<std::size_t>(num_processors));
-    for (int p = 0; p < num_processors; ++p) {
-      mmus_.emplace_back(static_cast<ProcId>(p), rosetta_single_mapping, latency);
-    }
-  }
-
-  Mmu& At(ProcId proc) {
-    ACE_DCHECK(proc >= 0 && proc < static_cast<ProcId>(mmus_.size()));
-    return mmus_[static_cast<std::size_t>(proc)];
-  }
-  const Mmu& At(ProcId proc) const {
-    ACE_DCHECK(proc >= 0 && proc < static_cast<ProcId>(mmus_.size()));
-    return mmus_[static_cast<std::size_t>(proc)];
-  }
-
-  int num_processors() const { return static_cast<int>(mmus_.size()); }
-
- private:
-  std::vector<Mmu> mmus_;
 };
 
 }  // namespace ace

@@ -8,45 +8,20 @@ namespace ace {
 
 PmapAce::PmapAce(const MachineConfig& config, PhysicalMemory* phys, ProcClocks* clocks,
                  MachineStats* stats, IpcBus* bus, NumaPolicy* policy)
-    : mmus_(config.num_processors, config.rosetta_single_mapping, config.latency),
-      manager_(config, phys, clocks, stats, bus, policy, this),
+    : manager_(config, phys, clocks, stats, bus, policy, this),
       stats_(stats),
       num_processors_(config.num_processors),
-      proc_vmap_(static_cast<std::size_t>(config.num_processors)),
-      page_mappings_(config.global_pages) {}
+      page_mappings_(config.global_pages) {
+  mmus_.reserve(static_cast<std::size_t>(config.num_processors));
+  for (ProcId p = 0; p < config.num_processors; ++p) {
+    mmus_.emplace_back(p, config.latency);
+  }
+}
 
 PmapHandle PmapAce::CreatePmap() { return next_pmap_++; }
 
 void PmapAce::DestroyPmap(PmapHandle pmap) {
-  for (ProcId p = 0; p < num_processors_; ++p) {
-    auto& vmap = proc_vmap_[static_cast<std::size_t>(p)];
-    for (auto it = vmap.begin(); it != vmap.end();) {
-      if (it->second.pmap == pmap) {
-        mmus_.At(p).Remove(it->first);
-        calls_.mmu_removes++;
-        // Drop the page-side entry.
-        auto& entries = page_mappings_[it->second.lp];
-        std::erase_if(entries, [&](const PageEntry& e) {
-          return e.proc == p && e.vpage == it->first;
-        });
-        it = vmap.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
-void PmapAce::ForgetDirectoryEntry(ProcId proc, VirtPage vpage) {
-  auto& vmap = proc_vmap_[static_cast<std::size_t>(proc)];
-  auto it = vmap.find(vpage);
-  if (it == vmap.end()) {
-    return;
-  }
-  auto& entries = page_mappings_[it->second.lp];
-  std::erase_if(entries,
-                [&](const PageEntry& e) { return e.proc == proc && e.vpage == vpage; });
-  vmap.erase(it);
+  RemoveRange(pmap, 0, ~VirtPage{0});
 }
 
 void PmapAce::Enter(PmapHandle pmap, VirtPage vpage, LogicalPage lp, Protection max_prot,
@@ -63,30 +38,23 @@ void PmapAce::Enter(PmapHandle pmap, VirtPage vpage, LogicalPage lp, Protection 
   ACE_CHECK(res.frame.valid());
   ACE_CHECK(Allows(res.prot, kind));
 
-  Mmu::EnterResult er = mmus_.At(proc).Enter(vpage, res.frame, res.prot, lp);
+  Mmu& target = mmu(proc);
+  const MmuEntry* old = target.Find(vpage);
+  const LogicalPage old_lp = old == nullptr ? kNoLogicalPage : old->lp;
+  Mmu::EnterResult er = target.Enter(vpage, res.frame, res.prot, lp, pmap);
   calls_.mmu_enters++;
   if (er.displaced) {
     // Rosetta allowed only one virtual address per physical page per processor; the
     // displaced virtual page will simply fault again when next touched.
-    ForgetDirectoryEntry(proc, er.displaced_vpage);
+    Unlist(er.displaced_lp, proc, er.displaced_vpage);
   }
-
-  auto& vmap = proc_vmap_[static_cast<std::size_t>(proc)];
-  auto it = vmap.find(vpage);
-  if (it != vmap.end()) {
-    if (it->second.lp != lp) {
+  if (old_lp != lp) {
+    if (old_lp != kNoLogicalPage) {
       // vpage was remapped to a different logical page (region replaced); forget the
       // stale page-side entry.
-      auto& old_entries = page_mappings_[it->second.lp];
-      std::erase_if(old_entries,
-                    [&](const PageEntry& e) { return e.proc == proc && e.vpage == vpage; });
-      it->second.lp = lp;
-      page_mappings_[lp].push_back(PageEntry{vpage, proc, pmap});
+      Unlist(old_lp, proc, vpage);
     }
-    it->second.pmap = pmap;
-  } else {
-    vmap.emplace(vpage, VEntry{pmap, lp});
-    page_mappings_[lp].push_back(PageEntry{vpage, proc, pmap});
+    page_mappings_[lp].push_back(PageMapping{vpage, proc});
   }
 }
 
@@ -97,31 +65,41 @@ void PmapAce::Protect(PmapHandle pmap, VirtPage first, VirtPage last, Protection
     return;
   }
   for (ProcId p = 0; p < num_processors_; ++p) {
-    for (const auto& [vpage, entry] : proc_vmap_[static_cast<std::size_t>(p)]) {
-      if (entry.pmap == pmap && vpage >= first && vpage <= last) {
-        mmus_.At(p).Downgrade(vpage, prot);
-      }
+    for (const MmuEntry& e : EntriesOf(p, pmap, first, last)) {
+      mmu(p).Downgrade(e.vpage, prot);
     }
   }
 }
 
 void PmapAce::Remove(PmapHandle pmap, VirtPage first, VirtPage last) {
   calls_.remove++;
+  RemoveRange(pmap, first, last);
+}
+
+void PmapAce::RemoveRange(PmapHandle pmap, VirtPage first, VirtPage last) {
   for (ProcId p = 0; p < num_processors_; ++p) {
-    auto& vmap = proc_vmap_[static_cast<std::size_t>(p)];
-    for (auto it = vmap.begin(); it != vmap.end();) {
-      if (it->second.pmap == pmap && it->first >= first && it->first <= last) {
-        mmus_.At(p).Remove(it->first);
-        calls_.mmu_removes++;
-        auto& entries = page_mappings_[it->second.lp];
-        std::erase_if(entries,
-                      [&](const PageEntry& e) { return e.proc == p && e.vpage == it->first; });
-        it = vmap.erase(it);
-      } else {
-        ++it;
-      }
+    for (const MmuEntry& e : EntriesOf(p, pmap, first, last)) {
+      Unlist(e.lp, p, e.vpage);
+      DropEntry(p, e.vpage);
     }
   }
+}
+
+std::vector<MmuEntry> PmapAce::EntriesOf(ProcId proc, PmapHandle pmap, VirtPage first,
+                                         VirtPage last) const {
+  std::vector<MmuEntry> out;
+  mmu(proc).ForEachMapping([&](const MmuEntry& e) {
+    if (e.pmap == pmap && e.vpage >= first && e.vpage <= last) {
+      out.push_back(e);
+    }
+  });
+  return out;
+}
+
+void PmapAce::Unlist(LogicalPage lp, ProcId proc, VirtPage vpage) {
+  std::erase_if(page_mappings_[lp], [&](const PageMapping& m) {
+    return m.proc == proc && m.vpage == vpage;
+  });
 }
 
 void PmapAce::RemoveAll(LogicalPage lp) {
@@ -129,28 +107,26 @@ void PmapAce::RemoveAll(LogicalPage lp) {
   RemoveAllMappings(lp);
 }
 
-void PmapAce::DropEntry(LogicalPage lp, ProcId proc, VirtPage vpage) {
-  mmus_.At(proc).Remove(vpage);
+void PmapAce::DropEntry(ProcId proc, VirtPage vpage) {
+  mmu(proc).Remove(vpage);
   calls_.mmu_removes++;
-  proc_vmap_[static_cast<std::size_t>(proc)].erase(vpage);
-  (void)lp;
 }
 
 void PmapAce::RemoveMappingsOn(LogicalPage lp, ProcId proc) {
   auto& entries = page_mappings_[lp];
-  std::erase_if(entries, [&](const PageEntry& e) {
-    if (e.proc != proc) {
+  std::erase_if(entries, [&](const PageMapping& m) {
+    if (m.proc != proc) {
       return false;
     }
-    DropEntry(lp, e.proc, e.vpage);
+    DropEntry(m.proc, m.vpage);
     return true;
   });
 }
 
 void PmapAce::RemoveAllMappings(LogicalPage lp) {
   auto& entries = page_mappings_[lp];
-  for (const PageEntry& e : entries) {
-    DropEntry(lp, e.proc, e.vpage);
+  for (const PageMapping& m : entries) {
+    DropEntry(m.proc, m.vpage);
   }
   entries.clear();
 }

@@ -8,17 +8,21 @@
 //   NUMA manager   — src/numa/numa_manager, keeps local-memory caches consistent;
 //   NUMA policy    — src/numa/policies, decides LOCAL vs GLOBAL per request.
 //
-// The pmap manager also owns the mapping directory: which (pmap, virtual page,
-// processor) triples currently map each logical page. The NUMA manager asks it to drop
+// The pmap manager also owns the mapping directory. Its forward half is the MMUs
+// themselves: each live MmuEntry carries the pmap and logical page that entered it.
+// Its reverse half, page_mappings_, lists the (processor, virtual page) sites of each
+// logical page, exactly one per live MMU entry. The NUMA manager asks the pmap to drop
 // mappings through the MappingControl interface when flushing or unmapping.
 
 #ifndef SRC_NUMA_PMAP_ACE_H_
 #define SRC_NUMA_PMAP_ACE_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/protection.h"
 #include "src/common/types.h"
 #include "src/mmu/mmu.h"
@@ -50,6 +54,12 @@ struct PmapCallCounts {
   std::uint64_t mmu_removes = 0;
 };
 
+// One site that maps a logical page: `proc`'s MMU holds an entry for it at `vpage`.
+struct PageMapping {
+  VirtPage vpage = 0;
+  ProcId proc = kNoProc;
+};
+
 class PmapAce : public PmapSystem, public MappingControl {
  public:
   PmapAce(const MachineConfig& config, PhysicalMemory* phys, ProcClocks* clocks,
@@ -77,24 +87,29 @@ class PmapAce : public PmapSystem, public MappingControl {
   void RemoveAllMappings(LogicalPage lp) override;
 
   // --- simulation access ---------------------------------------------------------------
-  // Hardware translation for a reference by `proc` (what Rosetta does per access).
-  TranslateResult Translate(ProcId proc, VirtPage vpage, AccessKind kind) const {
-    return mmus_.At(proc).Translate(vpage, kind);
-  }
-
   NumaManager& manager() { return manager_; }
   const NumaManager& manager() const { return manager_; }
 
-  // The logical page `proc` currently maps at `vpage`, or kNoLogicalPage, read from the
-  // mapping directory (no MMU interaction, no clock charges). The reference path reads
-  // the copy Enter stored in the MMU entry; the verify cross-check compares the two.
-  LogicalPage LookupLogicalPage(ProcId proc, VirtPage vpage) const {
-    const auto& vmap = proc_vmap_[static_cast<std::size_t>(proc)];
-    auto it = vmap.find(vpage);
-    return it == vmap.end() ? kNoLogicalPage : it->second.lp;
+  // `proc`'s MMU: the hardware translation a reference uses, and the forward half of
+  // the mapping directory.
+  Mmu& mmu(ProcId proc) {
+    ACE_DCHECK(proc >= 0 && proc < num_processors_);
+    return mmus_[static_cast<std::size_t>(proc)];
   }
-  Mmu& mmu(ProcId proc) { return mmus_.At(proc); }
-  const Mmu& mmu(ProcId proc) const { return mmus_.At(proc); }
+  const Mmu& mmu(ProcId proc) const {
+    ACE_DCHECK(proc >= 0 && proc < num_processors_);
+    return mmus_[static_cast<std::size_t>(proc)];
+  }
+
+  // The reverse half of the mapping directory: every site whose MMU maps `lp`, one per
+  // live entry (no MMU interaction, no clock charges). Empty for an `lp` out of range,
+  // so a corrupt logical page never reads past the table.
+  std::span<const PageMapping> MappingsOf(LogicalPage lp) const {
+    if (lp >= page_mappings_.size()) {
+      return {};
+    }
+    return page_mappings_[lp];
+  }
 
   // Processor charged for VM-initiated work (free sync, page copies); set by the
   // machine before entering VM code on behalf of a processor.
@@ -107,7 +122,7 @@ class PmapAce : public PmapSystem, public MappingControl {
 
   // Whether any processor currently maps `lp` — the pageout daemon's "reference bit"
   // proxy (mappings are dropped and a page that faults them back in is referenced).
-  bool HasMappings(LogicalPage lp) const { return !page_mappings_[lp].empty(); }
+  bool HasMappings(LogicalPage lp) const { return !MappingsOf(lp).empty(); }
 
   // Invoked when a logical page's lazy free begins (used by the pager to invalidate
   // residence records).
@@ -118,20 +133,17 @@ class PmapAce : public PmapSystem, public MappingControl {
   }
 
  private:
-  struct VEntry {
-    PmapHandle pmap = kNoPmap;
-    LogicalPage lp = kNoLogicalPage;
-  };
-  struct PageEntry {
-    VirtPage vpage = 0;
-    ProcId proc = kNoProc;
-    PmapHandle pmap = kNoPmap;
-  };
+  // Removes `pmap`'s mappings of [first, last] from every MMU and the reverse listing.
+  void RemoveRange(PmapHandle pmap, VirtPage first, VirtPage last);
+  // The entries `pmap` holds on `proc` within [first, last], copied out so the caller
+  // can mutate the MMU afterwards.
+  std::vector<MmuEntry> EntriesOf(ProcId proc, PmapHandle pmap, VirtPage first,
+                                  VirtPage last) const;
+  // Removes (proc, vpage) from `lp`'s reverse listing.
+  void Unlist(LogicalPage lp, ProcId proc, VirtPage vpage);
+  void DropEntry(ProcId proc, VirtPage vpage);
 
-  void DropEntry(LogicalPage lp, ProcId proc, VirtPage vpage);
-  void ForgetDirectoryEntry(ProcId proc, VirtPage vpage);
-
-  MmuArray mmus_;
+  std::vector<Mmu> mmus_;
   NumaManager manager_;
   MachineStats* stats_;
   int num_processors_;
@@ -140,10 +152,8 @@ class PmapAce : public PmapSystem, public MappingControl {
   FreeTag next_tag_ = 1;
   ProcId current_proc_ = 0;
 
-  // Directory: per-processor vpage -> (pmap, logical page), and per-logical-page list
-  // of mapping sites.
-  std::vector<std::unordered_map<VirtPage, VEntry>> proc_vmap_;
-  std::vector<std::vector<PageEntry>> page_mappings_;
+  // Reverse directory: per logical page, the sites that map it.
+  std::vector<std::vector<PageMapping>> page_mappings_;
 
   std::unordered_map<FreeTag, LogicalPage> pending_free_;
 

@@ -90,10 +90,6 @@ struct MachineConfig {
   LatencyModel latency;
   KernelCostModel kernel;
 
-  // When true, the MMU models the Rosetta restriction of a single virtual address per
-  // physical page per processor (paper section 2.1/2.3.1).
-  bool rosetta_single_mapping = true;
-
   std::uint32_t PageShift() const {
     ACE_CHECK(page_size != 0 && (page_size & (page_size - 1)) == 0);
     std::uint32_t shift = 0;

@@ -26,10 +26,6 @@
 
 namespace ace {
 
-// Opaque identifier of one task's physical map.
-using PmapHandle = std::uint32_t;
-inline constexpr PmapHandle kNoPmap = ~PmapHandle{0};
-
 // Tag returned by FreePage and consumed by FreePageSync (extension 1).
 using FreeTag = std::uint64_t;
 

@@ -10,8 +10,9 @@
 //      scenario drives the transition through the real machine, inspects the MMU
 //      entry directly, and checks that the next access faults.
 //   3. Poison mode — an entry whose derived fields disagree with the pmap directory
-//      must die on ACE_CHECK at its next hit, proving the verify cross-check would
-//      catch any future path that mutates the MMU behind the pmap's back.
+//      (including a logical page outside it) must die on ACE_CHECK at its next hit,
+//      proving the verify cross-check would catch any future path that mutates the
+//      MMU behind the pmap's back.
 
 #include <gtest/gtest.h>
 
@@ -307,6 +308,23 @@ TEST(TlbDeath, DerivedFieldMismatchTripsVerify) {
   // frame under a logical page the mapping directory does not know. The next hit
   // must die on the verify ACE_CHECK instead of attributing the reference wrongly.
   m.pmap().mmu(0).Enter(e->vpage, e->frame, e->prot, e->lp + 1);
+  EXPECT_DEATH((void)m.LoadWord(*t, 0, va), "poisoned MMU entry");
+}
+
+TEST(TlbDeath, OutOfRangeLogicalPageFailsClosed) {
+  Machine::Options mo = SmallMachine();
+  mo.tlb_verify = 1;
+  Machine m(mo);
+  Task* t = m.CreateTask("t");
+  VirtAddr va = t->MapAnonymous("page", m.page_size());
+  m.StoreWord(*t, 0, va, 7);
+  ASSERT_TRUE(m.tlb_verify_enabled());
+  const MmuEntry* e = EntryOf(m, 0, va);
+  ASSERT_NE(e, nullptr);
+
+  // A logical page far past the pmap's table must trip the same check (its reverse
+  // listing reads as empty) rather than index out of bounds.
+  m.pmap().mmu(0).Enter(e->vpage, e->frame, e->prot, kNoLogicalPage - 1);
   EXPECT_DEATH((void)m.LoadWord(*t, 0, va), "poisoned MMU entry");
 }
 

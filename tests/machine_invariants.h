@@ -8,13 +8,17 @@
 //   * cache resources balance: every allocated local frame is accounted to exactly one
 //     logical page;
 //   * translation state is consistent with cache state: writable mappings only exist
-//     for the owner of a local-writable page or for global-writable pages.
+//     for the owner of a local-writable page or for global-writable pages;
+//   * the pmap's mapping directory agrees with itself: every MMU entry (the forward
+//     half) is listed exactly once under its logical page (the reverse half), and
+//     every listing names a live entry for that page.
 
 #ifndef TESTS_MACHINE_INVARIANTS_H_
 #define TESTS_MACHINE_INVARIANTS_H_
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -92,9 +96,36 @@ inline void CheckMachineInvariants(Machine& m) {
         << "local frame leak on proc " << p;
   }
 
+  // Mapping directory: forward (MMU entries) and reverse (per-page listings) agree.
+  const PmapAce& pmap = m.pmap();
+  for (ProcId p = 0; p < procs; ++p) {
+    pmap.mmu(p).ForEachMapping([&](const MmuEntry& e) {
+      const auto sites = pmap.MappingsOf(e.lp);
+      EXPECT_EQ(std::count_if(sites.begin(), sites.end(),
+                              [&](const PageMapping& s) {
+                                return s.proc == p && s.vpage == e.vpage;
+                              }),
+                1)
+          << "MMU entry proc " << p << " vpage " << e.vpage << " lp " << e.lp
+          << " is not listed exactly once under its logical page";
+    });
+  }
+  for (LogicalPage lp = 0; lp < manager.num_pages(); ++lp) {
+    for (const PageMapping& s : pmap.MappingsOf(lp)) {
+      const MmuEntry* e = pmap.mmu(s.proc).Find(s.vpage);
+      ASSERT_NE(e, nullptr) << "page " << lp << " lists a dead site: proc " << s.proc
+                            << " vpage " << s.vpage;
+      EXPECT_EQ(e->lp, lp) << "page " << lp << " lists proc " << s.proc << " vpage "
+                           << s.vpage << ", which maps page " << e->lp;
+    }
+  }
+
   // Translation state vs cache state.
   for (ProcId p = 0; p < procs; ++p) {
-    m.pmap().mmu(p).ForEachMapping([&](VirtPage vpage, FrameRef frame, Protection prot) {
+    pmap.mmu(p).ForEachMapping([&](const MmuEntry& e) {
+      const VirtPage vpage = e.vpage;
+      const FrameRef frame = e.frame;
+      const Protection prot = e.prot;
       EXPECT_NE(prot, Protection::kNone);
       if (frame.is_global()) {
         LogicalPage lp = frame.index;

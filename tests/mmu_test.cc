@@ -10,14 +10,14 @@ namespace ace {
 namespace {
 
 TEST(Mmu, TranslateMissesOnEmpty) {
-  Mmu mmu(0, /*rosetta_single_mapping=*/true);
+  Mmu mmu(0);
   TranslateResult r = mmu.Translate(5, AccessKind::kFetch);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.fault, FaultKind::kNoMapping);
 }
 
 TEST(Mmu, EnterThenTranslate) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kReadWrite);
   TranslateResult r = mmu.Translate(5, AccessKind::kStore);
   ASSERT_TRUE(r.ok());
@@ -26,7 +26,7 @@ TEST(Mmu, EnterThenTranslate) {
 }
 
 TEST(Mmu, ProtectionFaultOnReadOnlyStore) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Local(0, 1), Protection::kRead);
   EXPECT_TRUE(mmu.Translate(5, AccessKind::kFetch).ok());
   TranslateResult r = mmu.Translate(5, AccessKind::kStore);
@@ -35,7 +35,7 @@ TEST(Mmu, ProtectionFaultOnReadOnlyStore) {
 }
 
 TEST(Mmu, ReplaceMappingSameVpage) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
   mmu.Enter(5, FrameRef::Local(0, 3), Protection::kReadWrite);
   TranslateResult r = mmu.Translate(5, AccessKind::kStore);
@@ -45,27 +45,19 @@ TEST(Mmu, ReplaceMappingSameVpage) {
 }
 
 TEST(Mmu, RosettaDisplacesSecondVirtualAddressForSameFrame) {
-  Mmu mmu(0, true);
-  mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
-  Mmu::EnterResult er = mmu.Enter(9, FrameRef::Global(2), Protection::kRead);
+  Mmu mmu(0);
+  mmu.Enter(5, FrameRef::Global(2), Protection::kRead, /*lp=*/11);
+  Mmu::EnterResult er = mmu.Enter(9, FrameRef::Global(2), Protection::kRead, /*lp=*/11);
   EXPECT_TRUE(er.displaced);
   EXPECT_EQ(er.displaced_vpage, 5u);
+  EXPECT_EQ(er.displaced_lp, 11u);  // the pmap drops the displaced site's listing
   EXPECT_FALSE(mmu.Translate(5, AccessKind::kFetch).ok());  // displaced -> refault
   EXPECT_TRUE(mmu.Translate(9, AccessKind::kFetch).ok());
   EXPECT_EQ(mmu.MappingCount(), 1u);
 }
 
-TEST(Mmu, NoDisplacementWhenQuirkDisabled) {
-  Mmu mmu(0, /*rosetta_single_mapping=*/false);
-  mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
-  Mmu::EnterResult er = mmu.Enter(9, FrameRef::Global(2), Protection::kRead);
-  EXPECT_FALSE(er.displaced);
-  EXPECT_TRUE(mmu.Translate(5, AccessKind::kFetch).ok());
-  EXPECT_TRUE(mmu.Translate(9, AccessKind::kFetch).ok());
-}
-
 TEST(Mmu, ReenteringSameVpageSameFrameDoesNotDisplaceItself) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
   Mmu::EnterResult er = mmu.Enter(5, FrameRef::Global(2), Protection::kReadWrite);
   EXPECT_FALSE(er.displaced);
@@ -73,7 +65,7 @@ TEST(Mmu, ReenteringSameVpageSameFrameDoesNotDisplaceItself) {
 }
 
 TEST(Mmu, RemoveDropsMappingAndReverseEntry) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
   EXPECT_TRUE(mmu.Remove(5));
   EXPECT_FALSE(mmu.Remove(5));  // already gone
@@ -83,7 +75,7 @@ TEST(Mmu, RemoveDropsMappingAndReverseEntry) {
 }
 
 TEST(Mmu, DowngradeTightensButNeverLoosens) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kReadWrite);
   mmu.Downgrade(5, Protection::kRead);
   EXPECT_EQ(mmu.Translate(5, AccessKind::kFetch).prot, Protection::kRead);
@@ -96,7 +88,7 @@ TEST(Mmu, DowngradeTightensButNeverLoosens) {
 }
 
 TEST(Mmu, RemapVpageToNewFrameCleansReverseIndex) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
   mmu.Enter(5, FrameRef::Global(3), Protection::kRead);  // vpage 5 now -> frame 3
   // Frame 2's reverse entry must be gone: mapping it from vpage 9 displaces nothing.
@@ -106,29 +98,19 @@ TEST(Mmu, RemapVpageToNewFrameCleansReverseIndex) {
   EXPECT_TRUE(mmu.Translate(9, AccessKind::kFetch).ok());
 }
 
-TEST(Mmu, RemoveAllClearsEverything) {
-  Mmu mmu(0, true);
-  for (VirtPage v = 0; v < 10; ++v) {
-    mmu.Enter(v, FrameRef::Global(static_cast<std::uint32_t>(v)), Protection::kRead);
-  }
-  EXPECT_EQ(mmu.MappingCount(), 10u);
-  mmu.RemoveAll();
-  EXPECT_EQ(mmu.MappingCount(), 0u);
-}
-
 TEST(Mmu, ForEachMappingVisitsAll) {
-  Mmu mmu(1, true);
+  Mmu mmu(1);
   mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
   mmu.Enter(6, FrameRef::Local(1, 0), Protection::kReadWrite);
   int count = 0;
-  mmu.ForEachMapping([&](VirtPage vpage, FrameRef frame, Protection prot) {
+  mmu.ForEachMapping([&](const MmuEntry& e) {
     ++count;
-    if (vpage == 5) {
-      EXPECT_EQ(frame, FrameRef::Global(2));
-      EXPECT_EQ(prot, Protection::kRead);
+    if (e.vpage == 5) {
+      EXPECT_EQ(e.frame, FrameRef::Global(2));
+      EXPECT_EQ(e.prot, Protection::kRead);
     } else {
-      EXPECT_EQ(vpage, 6u);
-      EXPECT_EQ(frame, FrameRef::Local(1, 0));
+      EXPECT_EQ(e.vpage, 6u);
+      EXPECT_EQ(e.frame, FrameRef::Local(1, 0));
     }
   });
   EXPECT_EQ(count, 2);
@@ -137,7 +119,7 @@ TEST(Mmu, ForEachMappingVisitsAll) {
 // Pages a table size apart share a home slot; linear probing keeps both mapped, and
 // removing one must not hide the other (backward-shift deletion).
 TEST(Mmu, CollidingPagesStayMapped) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   const VirtPage a = 7;
   const VirtPage b = a + Mmu::kInitialSlots;
   const VirtPage c = a + 2 * Mmu::kInitialSlots;
@@ -159,7 +141,7 @@ TEST(Mmu, CollidingPagesStayMapped) {
 // Random enters, removes and downgrades over pages that pile into shared home slots
 // (and force the table to grow) agree with a plain map at every step.
 TEST(Mmu, ProbingAgreesWithAReferenceMap) {
-  Mmu mmu(0, /*rosetta_single_mapping=*/false);
+  Mmu mmu(0);
   std::map<VirtPage, Protection> want;
   std::uint64_t state = 12345;
   auto next = [&state]() {
@@ -201,20 +183,22 @@ TEST(Mmu, ProbingAgreesWithAReferenceMap) {
 }
 
 // The table grows past its initial size without losing a translation, and each
-// entry carries the class and costs derived from its frame at Enter.
+// entry carries the class and costs derived from its frame at Enter, and the logical
+// page and pmap the caller named.
 TEST(Mmu, GrowsAndKeepsDerivedFields) {
   LatencyModel latency;
-  Mmu mmu(1, true, latency);
+  Mmu mmu(1, latency);
   const std::uint32_t n = 3 * Mmu::kInitialSlots;
   for (std::uint32_t v = 0; v < n; ++v) {
     FrameRef frame = v % 2 == 0 ? FrameRef::Local(1, v) : FrameRef::Global(v);
-    mmu.Enter(v, frame, Protection::kRead, /*lp=*/v + 100);
+    mmu.Enter(v, frame, Protection::kRead, /*lp=*/v + 100, /*pmap=*/v % 3);
   }
   EXPECT_EQ(mmu.MappingCount(), n);
   for (std::uint32_t v = 0; v < n; ++v) {
     const MmuEntry* e = mmu.Find(v);
     ASSERT_NE(e, nullptr) << v;
     EXPECT_EQ(e->lp, v + 100);
+    EXPECT_EQ(e->pmap, v % 3);
     EXPECT_EQ(e->cls, e->frame.ClassFor(1));
     EXPECT_EQ(e->cost_fetch, latency.Cost(e->cls, AccessKind::kFetch));
     EXPECT_EQ(e->cost_store, latency.Cost(e->cls, AccessKind::kStore));
@@ -223,7 +207,7 @@ TEST(Mmu, GrowsAndKeepsDerivedFields) {
 
 // Every change to a live translation counts as one invalidation.
 TEST(Mmu, InvalidationsCountEveryChangeToALiveMapping) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kReadWrite);  // fresh: not counted
   EXPECT_EQ(mmu.invalidations(), 0u);
   mmu.Downgrade(5, Protection::kRead);
@@ -236,15 +220,6 @@ TEST(Mmu, InvalidationsCountEveryChangeToALiveMapping) {
   EXPECT_FALSE(mmu.Remove(5));
   EXPECT_TRUE(mmu.Remove(9));
   EXPECT_EQ(mmu.invalidations(), 4u);
-}
-
-TEST(MmuArray, PerProcessorIsolation) {
-  MmuArray mmus(3, true);
-  mmus.At(0).Enter(5, FrameRef::Global(2), Protection::kRead);
-  EXPECT_TRUE(mmus.At(0).Translate(5, AccessKind::kFetch).ok());
-  EXPECT_FALSE(mmus.At(1).Translate(5, AccessKind::kFetch).ok());
-  EXPECT_EQ(mmus.num_processors(), 3);
-  EXPECT_EQ(mmus.At(2).proc(), 2);
 }
 
 }  // namespace

@@ -33,12 +33,12 @@ TEST(PmapAce, MinMaxProtectionDrivesReplication) {
   VirtAddr a = h.task->MapAnonymous("page", 4096);
   (void)h.machine->LoadWord(*h.task, 0, a);  // read fault on a writable region
   VirtPage vpage = a / h.machine->page_size();
-  TranslateResult tr = h.machine->pmap().Translate(0, vpage, AccessKind::kFetch);
+  TranslateResult tr = h.machine->pmap().mmu(0).Translate(vpage, AccessKind::kFetch);
   ASSERT_TRUE(tr.ok());
   EXPECT_EQ(tr.prot, Protection::kRead);  // provisionally read-only
   // The write faults again and upgrades.
   h.machine->StoreWord(*h.task, 0, a, 1);
-  tr = h.machine->pmap().Translate(0, vpage, AccessKind::kStore);
+  tr = h.machine->pmap().mmu(0).Translate(vpage, AccessKind::kStore);
   ASSERT_TRUE(tr.ok());
   EXPECT_EQ(tr.prot, Protection::kReadWrite);
 }
@@ -77,8 +77,8 @@ TEST(PmapAce, ProtectDowngradesMappings) {
   h.machine->StoreWord(*h.task, 0, a, 7);
   VirtPage vpage = a / h.machine->page_size();
   h.machine->pmap().Protect(h.task->pmap(), vpage, vpage, Protection::kRead);
-  EXPECT_FALSE(h.machine->pmap().Translate(0, vpage, AccessKind::kStore).ok());
-  EXPECT_TRUE(h.machine->pmap().Translate(0, vpage, AccessKind::kFetch).ok());
+  EXPECT_FALSE(h.machine->pmap().mmu(0).Translate(vpage, AccessKind::kStore).ok());
+  EXPECT_TRUE(h.machine->pmap().mmu(0).Translate(vpage, AccessKind::kFetch).ok());
   // A fresh write fault re-establishes write access through the fault path.
   h.machine->StoreWord(*h.task, 0, a, 8);
   EXPECT_EQ(h.machine->LoadWord(*h.task, 0, a), 8u);
@@ -93,6 +93,7 @@ TEST(PmapAce, ProtectWithNoneRemoves) {
   EXPECT_FALSE(h.machine->pmap().mmu(0).HasMapping(vpage));
   // Content survives; the next access refaults.
   EXPECT_EQ(h.machine->LoadWord(*h.task, 0, a), 7u);
+  CheckMachineInvariants(*h.machine);
 }
 
 TEST(PmapAce, RemoveAllDropsEveryProcessorsMapping) {
@@ -121,6 +122,7 @@ TEST(PmapAce, DestroyPmapRemovesOnlyThatTasksMappings) {
   h.machine->pmap().DestroyPmap(other->pmap());
   EXPECT_FALSE(h.machine->pmap().mmu(0).HasMapping(b / h.machine->page_size()));
   EXPECT_TRUE(h.machine->pmap().mmu(0).HasMapping(a / h.machine->page_size()));
+  CheckMachineInvariants(*h.machine);
 }
 
 TEST(PmapAce, CallCountsAccumulate) {
@@ -153,6 +155,7 @@ TEST(PmapAce, RosettaDisplacementRefaultsTransparently) {
   EXPECT_GE(h.machine->stats().page_faults, 3u);
   h.machine->StoreWord(*h.task, 0, b, 42);
   EXPECT_EQ(h.machine->LoadWord(*h.task, 0, a), 42u);
+  CheckMachineInvariants(*h.machine);
 }
 
 }  // namespace
