@@ -64,6 +64,10 @@ struct SweepCell {
   // "/plan=<plan>" (and "/fs<seed>" when seeded); a serving cell appends
   // "/serving/ten<T>/z<skew>/ch<phases>".
   std::string Key() const;
+
+  // Field-wise equality. Equal cells have equal keys; the suites never hold two
+  // unequal cells with one key (SweepCellKey tests pin both).
+  bool operator==(const SweepCell&) const = default;
 };
 
 // The measured values of one executed cell. Metrics are kept as an ordered

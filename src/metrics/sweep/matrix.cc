@@ -1,7 +1,7 @@
 #include "src/metrics/sweep/matrix.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <set>
 
 #include "src/common/check.h"
 #include "src/metrics/table.h"
@@ -85,12 +85,8 @@ std::vector<SweepCell> SweepMatrix::Enumerate() const {
 }
 
 void AppendUnique(std::vector<SweepCell>& cells, const std::vector<SweepCell>& extra) {
-  std::set<std::string> seen;
-  for (const SweepCell& cell : cells) {
-    seen.insert(cell.Key());
-  }
   for (const SweepCell& cell : extra) {
-    if (seen.insert(cell.Key()).second) {
+    if (std::find(cells.begin(), cells.end(), cell) == cells.end()) {
       cells.push_back(cell);
     }
   }

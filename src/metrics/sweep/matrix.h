@@ -50,7 +50,8 @@ Suite MakeSuite(const std::string& name, int threads_override = 0,
 bool IsKnownSuite(const std::string& name);
 const std::vector<std::string>& SuiteNames();
 
-// Append `extra` to `cells`, skipping cells whose Key() is already present.
+// Append `extra` to `cells` in order, skipping cells already present (and so any
+// repeat within `extra`).
 void AppendUnique(std::vector<SweepCell>& cells, const std::vector<SweepCell>& extra);
 
 }  // namespace ace

@@ -1,10 +1,58 @@
 #include "src/sim/physical_memory.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstring>
+#include <utility>
 
 #include "src/inject/fault_plan.h"
 
 namespace ace {
+
+namespace {
+
+std::size_t HostPageSize() {
+  static const std::size_t kSize = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return kSize;
+}
+
+std::size_t RoundUpToHostPage(std::size_t bytes) {
+  const std::size_t page = HostPageSize();
+  return (bytes + page - 1) / page * page;
+}
+
+}  // namespace
+
+MappedRegion::MappedRegion(std::size_t bytes) : size_(bytes) {
+  void* p = mmap(nullptr, bytes, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                 -1, 0);
+  ACE_CHECK_MSG(p != MAP_FAILED, "mmap of the frame region failed");
+  data_ = static_cast<std::uint8_t*>(p);
+}
+
+MappedRegion::~MappedRegion() {
+  if (data_ != nullptr) {
+    munmap(data_, size_);
+  }
+}
+
+MappedRegion::MappedRegion(MappedRegion&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+
+// The region this object held moves to `other`, which unmaps it when it dies.
+MappedRegion& MappedRegion::operator=(MappedRegion&& other) noexcept {
+  std::swap(data_, other.data_);
+  std::swap(size_, other.size_);
+  return *this;
+}
+
+void MappedRegion::OpenReadWrite(std::size_t offset, std::size_t bytes) {
+  ACE_CHECK(offset % HostPageSize() == 0 && bytes % HostPageSize() == 0);
+  ACE_CHECK(offset + bytes <= size_);
+  ACE_CHECK_MSG(mprotect(data_ + offset, bytes, PROT_READ | PROT_WRITE) == 0,
+                "mprotect of a frame slab failed");
+}
 
 PhysicalMemory::PhysicalMemory(const MachineConfig& config)
     : page_size_(config.page_size),
@@ -15,12 +63,23 @@ PhysicalMemory::PhysicalMemory(const MachineConfig& config)
       latency_(config.latency),
       copy_efficiency_(config.kernel.copy_efficiency) {
   config.Validate();
-  global_data_.resize(static_cast<std::size_t>(global_pages_) * page_size_, 0);
-  local_data_.resize(static_cast<std::size_t>(num_processors_));
+  // Each slab's span is rounded up to whole host pages and the slab sits at the end
+  // of it, so the guard page that follows starts exactly one byte past its last frame.
+  const std::size_t guard = HostPageSize();
+  const std::size_t global_bytes = static_cast<std::size_t>(global_pages_) * page_size_;
+  const std::size_t local_bytes = static_cast<std::size_t>(local_pages_per_proc_) * page_size_;
+  const std::size_t global_span = RoundUpToHostPage(global_bytes);
+  const std::size_t local_span = RoundUpToHostPage(local_bytes);
+  global_offset_ = global_span - global_bytes;
+  local_stride_ = local_span + guard;
+  local_offset_ = global_span + guard + (local_span - local_bytes);
+  region_ = MappedRegion(global_span + guard +
+                         static_cast<std::size_t>(num_processors_) * local_stride_);
+  region_.OpenReadWrite(0, global_span);
   local_free_.resize(static_cast<std::size_t>(num_processors_));
   for (int p = 0; p < num_processors_; ++p) {
-    local_data_[static_cast<std::size_t>(p)].resize(
-        static_cast<std::size_t>(local_pages_per_proc_) * page_size_, 0);
+    region_.OpenReadWrite(global_span + guard + static_cast<std::size_t>(p) * local_stride_,
+                          local_span);
     auto& free_list = local_free_[static_cast<std::size_t>(p)];
     free_list.reserve(local_pages_per_proc_);
     // Push in reverse so that frames are handed out in increasing index order.
@@ -99,8 +158,8 @@ TimeNs PhysicalMemory::CopyPage(FrameRef src, FrameRef dst, ProcId copier) {
 
 void PhysicalMemory::PoisonLocal(ProcId proc, std::uint8_t byte) {
   ACE_CHECK(proc >= 0 && proc < num_processors_);
-  auto& slab = local_data_[static_cast<std::size_t>(proc)];
-  std::memset(slab.data(), byte, slab.size());
+  std::memset(FrameData(FrameRef::Local(proc, 0)), byte,
+              static_cast<std::size_t>(local_pages_per_proc_) * page_size_);
 }
 
 TimeNs PhysicalMemory::ZeroPage(FrameRef frame, ProcId zeroer) {

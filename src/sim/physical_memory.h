@@ -6,10 +6,17 @@
 //
 // Global frames back the Mach logical page pool and are allocated/freed by the VM
 // layer; local frames are the NUMA manager's cache resource, allocated per processor.
+//
+// All slabs live in one anonymous private mapping. The host kernel zero-fills each
+// host page on its first touch, as Mach zero-fills a page on its first fault, so a
+// machine pays only for the frames its run touches. The mapping is reserved
+// inaccessible and each slab is opened read-write, ending flush against one guard
+// page: an overrun past the last frame of any slab faults on the spot.
 
 #ifndef SRC_SIM_PHYSICAL_MEMORY_H_
 #define SRC_SIM_PHYSICAL_MEMORY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -22,6 +29,29 @@
 namespace ace {
 
 class FaultInjector;
+
+// Owner of one anonymous private mapping (MAP_NORESERVE), reserved with no access and
+// unmapped on destruction. Fails closed: a failed mmap or mprotect is an ACE_CHECK.
+class MappedRegion {
+ public:
+  MappedRegion() = default;
+  explicit MappedRegion(std::size_t bytes);
+  ~MappedRegion();
+
+  MappedRegion(MappedRegion&& other) noexcept;
+  MappedRegion& operator=(MappedRegion&& other) noexcept;
+  MappedRegion(const MappedRegion&) = delete;
+  MappedRegion& operator=(const MappedRegion&) = delete;
+
+  // Make [offset, offset + bytes) readable and writable; both must be host-page aligned.
+  void OpenReadWrite(std::size_t offset, std::size_t bytes);
+
+  std::uint8_t* data() const { return data_; }
+
+ private:
+  std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 class PhysicalMemory {
  public:
@@ -68,19 +98,9 @@ class PhysicalMemory {
   // Inline: ReadWord/WriteWord sit on the per-reference fast path (Machine::FastAccess).
 
   // Raw bytes of a frame; valid until the memory object is destroyed.
-  std::uint8_t* FrameData(FrameRef frame) {
-    std::size_t offset = FrameOffset(frame);
-    if (frame.is_global()) {
-      return global_data_.data() + offset;
-    }
-    return local_data_[static_cast<std::size_t>(frame.node)].data() + offset;
-  }
+  std::uint8_t* FrameData(FrameRef frame) { return region_.data() + FrameOffset(frame); }
   const std::uint8_t* FrameData(FrameRef frame) const {
-    std::size_t offset = FrameOffset(frame);
-    if (frame.is_global()) {
-      return global_data_.data() + offset;
-    }
-    return local_data_[static_cast<std::size_t>(frame.node)].data() + offset;
+    return region_.data() + FrameOffset(frame);
   }
 
   std::uint32_t ReadWord(FrameRef frame, std::uint32_t offset) const {
@@ -111,15 +131,19 @@ class PhysicalMemory {
   std::uint32_t page_size() const { return page_size_; }
 
  private:
+  // Byte offset of a frame in region_: its slab's offset plus index * page_size_.
   std::size_t FrameOffset(FrameRef frame) const {
     ACE_DCHECK(frame.valid());
+    std::size_t slab;
     if (frame.is_global()) {
       ACE_DCHECK(frame.index < global_pages_);
+      slab = global_offset_;
     } else {
       ACE_DCHECK(frame.node < num_processors_);
       ACE_DCHECK(frame.index < local_pages_per_proc_);
+      slab = local_offset_ + static_cast<std::size_t>(frame.node) * local_stride_;
     }
-    return static_cast<std::size_t>(frame.index) * page_size_;
+    return slab + static_cast<std::size_t>(frame.index) * page_size_;
   }
 
   std::uint32_t page_size_;
@@ -130,9 +154,12 @@ class PhysicalMemory {
   LatencyModel latency_;
   double copy_efficiency_;
 
-  // Backing stores: one slab for global memory, one per processor for local memory.
-  std::vector<std::uint8_t> global_data_;
-  std::vector<std::vector<std::uint8_t>> local_data_;
+  // Backing store: the global slab, then one local slab per processor, each followed
+  // by a guard page. Local slab p starts at local_offset_ + p * local_stride_.
+  MappedRegion region_;
+  std::size_t global_offset_ = 0;
+  std::size_t local_offset_ = 0;
+  std::size_t local_stride_ = 0;
 
   // Per-processor free lists of local frame indices.
   std::vector<std::vector<std::uint32_t>> local_free_;

@@ -85,8 +85,11 @@ SampledRun RunApp(const char* app_name, bool observed, bool sampled, TimeNs inte
   std::unique_ptr<LiveSampler> sampler;
   std::string path;
   if (sampled) {
-    path = ::testing::TempDir() + "live_feed_" + app_name +
-           (observed ? "_observed" : "_bare") + ".jsonl";
+    // Named after the running test: ctest runs tests as concurrent processes, and
+    // two tests sampling the same app must not write one file.
+    const ::testing::TestInfo* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    path = ::testing::TempDir() + "live_feed_" + test->test_suite_name() + "_" + test->name() +
+           ".jsonl";
     EXPECT_TRUE(writer.Open(path, /*append=*/false));
     LiveSampler::Options so;
     so.interval_ns = interval_ns;

@@ -1,5 +1,14 @@
 // Unit tests for src/sim: latency model, machine config, physical memory, clocks, bus.
 
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdint>
+#include <fstream>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/sim/bus.h"
@@ -145,6 +154,137 @@ TEST(PhysicalMemory, ZeroPage) {
   TimeNs cost = phys.ZeroPage(l, 0);
   EXPECT_EQ(cost, static_cast<TimeNs>(config.WordsPerPage()) * config.latency.local_store_ns);
   EXPECT_EQ(phys.ReadWord(l, 0), 0u);
+}
+
+// --- lazily zeroed frame region --------------------------------------------------
+
+// Every slab of `phys` as (first frame, last frame).
+std::vector<std::pair<FrameRef, FrameRef>> Slabs(const PhysicalMemory& phys, int procs) {
+  std::vector<std::pair<FrameRef, FrameRef>> slabs = {
+      {FrameRef::Global(0), FrameRef::Global(phys.global_pages() - 1)}};
+  for (int p = 0; p < procs; ++p) {
+    slabs.push_back({FrameRef::Local(p, 0), FrameRef::Local(p, phys.local_pages_per_proc() - 1)});
+  }
+  return slabs;
+}
+
+bool FrameIsAll(const PhysicalMemory& phys, FrameRef frame, std::uint8_t byte) {
+  const std::uint8_t* data = phys.FrameData(frame);
+  for (std::uint32_t i = 0; i < phys.page_size(); ++i) {
+    if (data[i] != byte) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// This process's memory from /proc/self/statm, in bytes.
+struct ProcessMemory {
+  std::size_t virtual_bytes = 0;   // VmSize
+  std::size_t resident_bytes = 0;  // VmRSS
+};
+
+ProcessMemory ReadProcessMemory() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size = 0;
+  std::size_t resident = 0;
+  statm >> size >> resident;
+  EXPECT_TRUE(statm) << "unreadable /proc/self/statm";
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return {size * page, resident * page};
+}
+
+TEST(PhysicalMemory, HugeSlabsCostOnlyWhatIsTouched) {
+  MachineConfig config;
+  config.num_processors = 8;
+  config.global_pages = 65536;          // 256 MiB
+  config.local_pages_per_proc = 32768;  // 8 x 128 MiB
+  const std::size_t before = ReadProcessMemory().resident_bytes;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto phys = std::make_unique<PhysicalMemory>(config);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200));
+  for (const auto& [first, last] : Slabs(*phys, config.num_processors)) {
+    EXPECT_TRUE(FrameIsAll(*phys, first, 0));
+    EXPECT_TRUE(FrameIsAll(*phys, last, 0));
+  }
+  const std::size_t after = ReadProcessMemory().resident_bytes;
+  EXPECT_LT(after, before + (std::size_t{64} << 20))
+      << "1.25 GiB of slabs made " << (after - before) / 1024 << " KiB resident";
+}
+
+TEST(PhysicalMemory, FirstAndLastFrameOfEverySlabReadZero) {
+  for (std::uint32_t page_size : {64u, 4096u, 8192u}) {
+    MachineConfig config;
+    config.page_size = page_size;
+    config.global_pages = 5;
+    config.local_pages_per_proc = 3;
+    PhysicalMemory phys(config);
+    for (const auto& [first, last] : Slabs(phys, config.num_processors)) {
+      EXPECT_TRUE(FrameIsAll(phys, first, 0)) << page_size;
+      EXPECT_TRUE(FrameIsAll(phys, last, 0)) << page_size;
+    }
+  }
+}
+
+TEST(PhysicalMemory, UntouchedFramesRoundTrip) {
+  MachineConfig config;
+  PhysicalMemory phys(config);
+  const FrameRef g = FrameRef::Global(config.global_pages - 1);
+  phys.WriteWord(g, config.page_size - kWordBytes, 0x5eed);
+  EXPECT_EQ(phys.ReadWord(g, config.page_size - kWordBytes), 0x5eedu);
+  EXPECT_EQ(phys.ReadWord(g, 0), 0u);
+
+  // Copy into an untouched frame, and copy an untouched frame over a written one.
+  const FrameRef l0 = FrameRef::Local(0, config.local_pages_per_proc - 1);
+  phys.CopyPage(g, l0, 0);
+  EXPECT_EQ(phys.ReadWord(l0, config.page_size - kWordBytes), 0x5eedu);
+  phys.CopyPage(FrameRef::Global(7), l0, 0);
+  EXPECT_TRUE(FrameIsAll(phys, l0, 0));
+
+  const FrameRef l1 = FrameRef::Local(1, 5);
+  phys.ZeroPage(l1, 1);
+  EXPECT_TRUE(FrameIsAll(phys, l1, 0));
+  phys.WriteWord(l1, 64, 9);
+  phys.ZeroPage(l1, 1);
+  EXPECT_TRUE(FrameIsAll(phys, l1, 0));
+
+  // Poison reaches both ends of the dead slab and nothing beyond it.
+  const int last = config.num_processors - 1;
+  phys.PoisonLocal(last, 0xDE);
+  EXPECT_TRUE(FrameIsAll(phys, FrameRef::Local(last, 0), 0xDE));
+  EXPECT_TRUE(FrameIsAll(phys, FrameRef::Local(last, config.local_pages_per_proc - 1), 0xDE));
+  EXPECT_TRUE(FrameIsAll(phys, FrameRef::Local(last - 1, config.local_pages_per_proc - 1), 0));
+  EXPECT_EQ(phys.ReadWord(g, config.page_size - kWordBytes), 0x5eedu);
+}
+
+// The region is unmapped on destruction. (Leak checkers do not track mmap regions, so
+// this is the check that a machine gives its frames back.)
+TEST(PhysicalMemory, ConstructDestroyCyclesReturnTheRegion) {
+  const MachineConfig config;  // ~80 MB of slabs: one leaked region breaks the bound
+  const std::size_t before = ReadProcessMemory().virtual_bytes;
+  for (int i = 0; i < 64; ++i) {
+    PhysicalMemory phys(config);
+    phys.WriteWord(FrameRef::Local(i % config.num_processors, 0), 0, 1);
+  }
+  const std::size_t after = ReadProcessMemory().virtual_bytes;
+  EXPECT_LT(after, before + (std::size_t{64} << 20))
+      << "VmSize grew by " << (after - before) / 1024 << " KiB";
+}
+
+// Each slab ends flush against a guard page, so a write one word past its last frame
+// faults even in builds where FrameOffset's DCHECKs are compiled out.
+TEST(PhysicalMemoryDeath, WritePastTheLastFrameOfASlabDies) {
+  for (std::uint32_t page_size : {64u, 4096u}) {
+    MachineConfig config = SmallConfig();
+    config.page_size = page_size;
+    PhysicalMemory phys(config);
+    for (const auto& slab : Slabs(phys, config.num_processors)) {
+      const FrameRef last = slab.second;
+      auto* past = reinterpret_cast<volatile std::uint32_t*>(phys.FrameData(last) + page_size);
+      EXPECT_DEATH(*past = 1, "") << "node " << last.node << ", page size " << page_size;
+    }
+  }
 }
 
 TEST(FrameRef, ClassFor) {

@@ -3,6 +3,7 @@
 // cases, and a golden-file check of the committed smoke baseline's structure.
 
 #include <atomic>
+#include <cstdint>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -165,6 +166,52 @@ TEST(SweepCellKey, EncodesEveryAxisAndIsUniqueAcrossSuites) {
     }
     EXPECT_FALSE(suite.cells.empty()) << name;
   }
+}
+
+// FNV-1a (64-bit) over a suite's keys in cell order, each followed by '\n'.
+std::uint64_t OrderedKeyHash(const Suite& suite) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const SweepCell& cell : suite.cells) {
+    for (char c : cell.Key() + "\n") {
+      hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+// Deduplication keeps the first occurrence and never reorders: the suites' cell lists
+// (and so every baseline and checkpoint keyed by them) are pinned in order.
+TEST(SweepCellKey, SuiteKeyListsArePinnedInOrder) {
+  const struct {
+    const char* suite;
+    std::size_t cells;
+    std::uint64_t hash;
+  } kPinned[] = {
+      {"full", 56, 0x8651b9c29c133b41ULL},
+      {"smoke", 15, 0xcc665aa48fb7e248ULL},
+      {"refs", 3, 0xd834e5ab5fa54491ULL},
+  };
+  for (const auto& pinned : kPinned) {
+    Suite suite = MakeSuite(pinned.suite);
+    EXPECT_EQ(suite.cells.size(), pinned.cells) << pinned.suite;
+    EXPECT_EQ(OrderedKeyHash(suite), pinned.hash)
+        << pinned.suite << " hashes to 0x" << std::hex << OrderedKeyHash(suite);
+  }
+}
+
+TEST(SweepCellKey, AppendUniqueKeepsFirstOccurrence) {
+  SweepCell a;
+  a.app = "FFT";
+  SweepCell b = a;
+  b.move_threshold = 8;
+  SweepCell c = a;
+  c.fault_plan = "frame-alloc@always";
+  std::vector<SweepCell> cells = {a, b};
+  AppendUnique(cells, {b, c, a, c});
+  ASSERT_EQ(cells.size(), 3u);
+  EXPECT_EQ(cells[0].Key(), a.Key());
+  EXPECT_EQ(cells[1].Key(), b.Key());
+  EXPECT_EQ(cells[2].Key(), c.Key());
 }
 
 // --- serialization schema ----------------------------------------------------------
